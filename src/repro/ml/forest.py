@@ -5,6 +5,13 @@ the best precision, near-best recall, short training time, and
 interpretable Gini feature importances (Table 2, Fig. 13).  This
 implementation bags fully grown CART trees with sqrt-feature
 subsampling and averages leaf probabilities.
+
+Scoring goes through the forest's compiled
+:class:`~repro.ml.tree.TreeKernel`: the trees are flattened once into
+contiguous arrays (at model load, or on first score after a fit) and
+every (tree, row) pair is routed level by level in a few numpy calls.
+The per-row leaf probabilities are summed in the fixed tree order, so a
+row scores bitwise the same alone or inside any batch.
 """
 
 from __future__ import annotations
@@ -12,10 +19,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.base import Classifier, binary_block, check_Xy
-from repro.ml.tree import _TreeBuilder, predict_tree
+from repro.ml.tree import CompiledTreesMixin, _TreeBuilder
 
 
-class RandomForest(Classifier):
+class RandomForest(CompiledTreesMixin, Classifier):
     """Bootstrap-aggregated CART ensemble.
 
     Args:
@@ -100,23 +107,23 @@ class RandomForest(Classifier):
             roots.append(builder.build(Xb[idx], yf[idx]))
             importances += builder.importances
         self._roots = roots
+        self._drop_kernel()
         total = importances.sum()
         self.feature_importances_ = (
             importances / total if total > 0 else importances
         )
         return self
 
+    def _trees(self) -> list | None:
+        return self._roots
+
     def _tree_scores(self, Xb: np.ndarray) -> np.ndarray:
         """Mean leaf probability over the ensemble, all rows at once.
 
-        Each tree routes the whole row block node by node with boolean
-        masks (:func:`predict_tree`); the per-row accumulation order is
-        the fixed tree order, so results are batch-size invariant.
+        The compiled kernel sums each row's leaf probabilities in the
+        fixed tree order, so results are batch-size invariant.
         """
-        probs = np.zeros(Xb.shape[0])
-        for root in self._roots:
-            probs += predict_tree(root, Xb)
-        return probs / len(self._roots)
+        return self._kernel().ordered_sum(Xb) / len(self._roots)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         self._require_fitted("_roots")

@@ -4,6 +4,10 @@ Standard gradient boosting on the logistic loss: each stage fits a
 shallow regression tree (variance-reduction splits over the binary
 features) to the negative gradient ``y − p`` and the ensemble is
 updated with a shrinkage factor.
+
+Scoring goes through the compiled :class:`~repro.ml.tree.TreeKernel`;
+the shrunk stage outputs are added to the base score in the fixed stage
+order, so a row scores bitwise the same alone or inside any batch.
 """
 
 from __future__ import annotations
@@ -11,14 +15,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.base import Classifier, binary_block, check_Xy
-from repro.ml.tree import _TreeBuilder, predict_tree
+from repro.ml.tree import CompiledTreesMixin, _TreeBuilder, predict_tree
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
 
 
-class GradientBoostedTrees(Classifier):
+class GradientBoostedTrees(CompiledTreesMixin, Classifier):
     """Boosted shallow trees with logistic loss.
 
     Args:
@@ -87,18 +91,21 @@ class GradientBoostedTrees(Classifier):
             raw = raw + self.learning_rate * update
             stages.append(root)
         self._stages = stages
+        self._drop_kernel()
         return self
 
+    def _trees(self) -> list | None:
+        return self._stages
+
     def _staged_raw(self, Xb: np.ndarray) -> np.ndarray:
-        """Boosted raw scores for a uint8 block, all rows per node.
+        """Boosted raw scores for a uint8 block, all rows at once.
 
         Stage order fixes the per-row accumulation order, keeping the
         result batch-size invariant.
         """
-        raw = np.full(Xb.shape[0], self._base_score)
-        for root in self._stages:
-            raw += self.learning_rate * predict_tree(root, Xb)
-        return raw
+        return self._kernel().ordered_sum(
+            Xb, start=self._base_score, scale=self.learning_rate
+        )
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         self._require_fitted("_stages")

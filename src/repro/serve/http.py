@@ -287,11 +287,20 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "VettingHTTPServer"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted connection: a response must not sit
+    # in Nagle's buffer waiting for the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):  # noqa: D102 - silence stderr
         pass
 
     def _send(self, response: Response) -> None:
+        """Write the whole response (status, headers, body) at once.
+
+        One ``wfile.write`` per response: a head and body sent as two
+        segments on a keep-alive connection can stall for the peer's
+        delayed ACK (~40 ms) before the second segment goes out.
+        """
         if response.text is not None:
             body = response.text.encode("utf-8")
             content_type = response.content_type
@@ -303,8 +312,14 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in response.headers:
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        # end_headers() would flush the head on its own.  Instead take
+        # the buffered head (none for an HTTP/0.9 request), end it, and
+        # write it together with the body.
+        head = getattr(self, "_headers_buffer", [])
+        self._headers_buffer = []
+        if head:
+            head.append(b"\r\n")
+        self.wfile.write(b"".join((*head, body)))
 
     def _read_body(self) -> bytes | None:
         """The request body, or None (response already sent) on abuse."""

@@ -251,7 +251,19 @@ class OnlineVettingService:
         outcome = self.results.get(md5)
         if outcome is not None:
             return outcome
-        return {"md5": md5, "status": self.queue.status(md5)}
+        return {"md5": md5, "status": self._unpublished_status(md5)}
+
+    def _unpublished_status(self, md5: str) -> str:
+        """Queue status of an md5 whose outcome is not published yet.
+
+        The dispatcher WAL-records a terminal outcome
+        (:meth:`SubmissionQueue.mark_done`) before it publishes it in
+        :attr:`results`; in between, the queue already says ``done``
+        but there is no verdict to serve, so the submission still
+        reads as ``in_flight``.
+        """
+        status = self.queue.status(md5)
+        return "in_flight" if status == "done" else status
 
     def explain(self, md5: str) -> dict:
         """Behavior-rule evidence for one submission.
@@ -271,7 +283,7 @@ class OnlineVettingService:
                 "explanation": outcome.get("explanation"),
                 "ruleset_version": outcome.get("ruleset_version"),
             }
-        return {"md5": md5, "status": self.queue.status(md5)}
+        return {"md5": md5, "status": self._unpublished_status(md5)}
 
     def push_ruleset(self, source, metadata: dict | None = None) -> dict:
         """Validate, publish, and atomically activate a new ruleset.
@@ -570,25 +582,33 @@ class OnlineVettingService:
                 drift_matrix = checker.feature_space.encode_batch(
                     [a.observation for a in analyzed]
                 )
+            failures = {}
+            for failure in result.failures:
+                failures.setdefault(failure.apk_md5, failure.reason)
+            # One rules call for every flagged app of the batch.
+            explanations: list[dict | None] = [None] * len(analyzed)
+            flagged = [
+                i for i, verdict in enumerate(verdicts) if verdict.malicious
+            ]
+            if self.rules_enabled and flagged:
+                reports = self._evaluator_for(
+                    version, checker, ruleset_version, ruleset_specs
+                ).evaluate([analyzed[i].observation for i in flagged])
+                for i, report in zip(flagged, reports):
+                    explanations[i] = report.to_dict()
             outcomes: list[tuple[SubmissionRecord, dict, bool | None]] = []
             scored = 0
             for entry, analysis in zip(batch, result.analyses):
                 if analysis is None:
-                    failure = next(
-                        (
-                            f.reason
-                            for f in result.failures
-                            if f.apk_md5 == entry.md5
-                        ),
-                        "analysis failed",
-                    )
                     outcomes.append(
                         (
                             entry,
                             {
                                 "md5": entry.md5,
                                 "status": "failed",
-                                "reason": failure,
+                                "reason": failures.get(
+                                    entry.md5, "analysis failed"
+                                ),
                                 "model_version": version,
                                 "ruleset_version": ruleset_version,
                                 "lane": lane_name(entry.lane),
@@ -598,18 +618,13 @@ class OnlineVettingService:
                     )
                     continue
                 verdict = verdicts[scored]
+                explanation = explanations[scored]
                 agreed: bool | None = None
                 if shadow_verdicts is not None:
                     agreed = (
                         shadow_verdicts[scored].malicious == verdict.malicious
                     )
                 scored += 1
-                explanation = None
-                if self.rules_enabled and verdict.malicious:
-                    report = self._evaluator_for(
-                        version, checker, ruleset_version, ruleset_specs
-                    ).evaluate_one(analysis.observation)
-                    explanation = report.to_dict()
                 outcomes.append(
                     (
                         entry,

@@ -317,3 +317,65 @@ def test_record_feedback_only_counts_terminal_done(models, generator):
     assert hit["recorded"] and hit["predicted"] == verdict
     assert service.metrics.value("serve_feedback_total") == 1
     assert service.drift_monitors.f1.samples == 1
+
+
+def test_no_verdictless_done_between_wal_and_publish(models, generator):
+    """A poll racing the dispatcher never sees ``done`` without a verdict.
+
+    ``mark_done`` WAL-records the outcome before the dispatcher
+    publishes it; a read in that window must still say ``in_flight``.
+    """
+    apps = [generator.sample_app() for _ in range(6)]
+    seen = []
+    with _service(models) as service:
+        mark_done = service.queue.mark_done
+
+        def racing_mark_done(entry, outcome):
+            mark_done(entry, outcome)
+            assert entry.md5 not in service.results  # WAL first
+            seen.append(service.result(entry.md5))
+            seen.append(service.explain(entry.md5))
+
+        service.queue.mark_done = racing_mark_done
+        for apk in apps:
+            service.submit(apk)
+        assert service.drain(60.0)
+    assert len(seen) == 2 * len(apps)
+    for answer in seen:
+        assert answer["status"] == "in_flight"
+        assert "malicious" not in answer
+    for apk in apps:
+        outcome = service.result(apk.md5)
+        assert outcome["status"] == "done" and "malicious" in outcome
+
+
+def test_batched_explanations_equal_per_app_ones(models, generator):
+    """One rules call per micro-batch explains each app as if alone."""
+    from repro.rules import RuleEvaluator
+
+    apps = [generator.sample_app(malicious=True) for _ in range(8)]
+    service = _service(models, batch_size=8)
+    for apk in apps:  # queued before start: one micro-batch
+        service.submit(apk)
+    with service:
+        assert service.drain(60.0)
+    checker = models.active_checker()
+    with service.rulesets.lease() as (_, specs):
+        evaluator = RuleEvaluator.from_specs(
+            specs, checker.sdk, tracked_api_ids=checker.key_api_ids
+        )
+    flagged = 0
+    for apk in apps:
+        outcome = service.result(apk.md5)
+        assert outcome["status"] == "done"
+        if not outcome["malicious"]:
+            assert outcome["explanation"] is None
+            continue
+        flagged += 1
+        alone = evaluator.evaluate_one(service.cache.get(apk.md5))
+        assert outcome["explanation"] == alone.to_dict()
+    assert flagged >= 2
+    metrics = service.metrics
+    assert metrics.value("serve_batches_total") == 1
+    assert metrics.value("rules_batches_total") == 1
+    assert metrics.value("rules_evaluations_total") == flagged
