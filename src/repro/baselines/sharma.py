@@ -52,7 +52,9 @@ class SharmaEnsemble(BaselineDetector):
         self._require_fitted()
         X = self._extractor.usage_matrix(apps, self._api_ids)
         # Soft-vote the two classifiers, as in the paper's combination.
-        proba = (self._nb.predict_proba(X) + self._knn.predict_proba(X)) / 2
+        proba = (
+            self._nb.predict_proba_batch(X) + self._knn.predict_proba_batch(X)
+        ) / 2
         return (proba >= 0.5).astype(np.int8)
 
     def analysis_seconds(self, apps: list[Apk]) -> float:

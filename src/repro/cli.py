@@ -306,14 +306,11 @@ def cmd_vet(args) -> int:
               file=sys.stderr)
         return 1
     observations = [a.observation for a in result.analyses]
-    verdicts = [
-        checker.verdict_from_observation(
-            a.observation,
-            analysis_minutes=a.total_minutes,
-            fell_back=a.fell_back,
-        )
-        for a in result.analyses
-    ]
+    verdicts = checker.verdicts_from_observations(
+        observations,
+        analysis_minutes=[a.total_minutes for a in result.analyses],
+        fell_back=[a.fell_back for a in result.analyses],
+    )
     n = write_log(args.log, observations, verdicts)
     flagged = sum(v.malicious for v in verdicts)
     print(f"wrote {n} analysis records to {args.log} ({flagged} flagged)")

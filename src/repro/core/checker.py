@@ -21,12 +21,7 @@ import numpy as np
 from repro.android.apk import Apk
 from repro.android.sdk import AndroidSdk
 from repro.core.engine import DynamicAnalysisEngine
-from repro.core.features import (
-    AppObservation,
-    FeatureBlock,
-    FeatureMode,
-    FeatureSpace,
-)
+from repro.core.features import AppObservation, FeatureMode, FeatureSpace
 from repro.core.selection import (
     KeyApiSelection,
     invocation_matrix,
@@ -232,50 +227,16 @@ class ApiChecker:
     # Vetting (the §5 production pipeline)
     # ------------------------------------------------------------------
 
-    def score_observation(self, observation: AppObservation) -> float:
-        """Malice probability for one (possibly cached) observation."""
-        self._require_fitted()
-        X = self.feature_space.encode(observation)[None, :]
-        return float(self.classifier.predict_proba(X)[0])
-
-    def score_block(self, block: FeatureBlock) -> np.ndarray:
-        """Malice probabilities for a whole feature block at once."""
-        self._require_fitted()
-        return self.classifier.predict_proba_batch(block)
-
     def score_observations(
         self, observations: Sequence[AppObservation]
     ) -> np.ndarray:
-        """Batch-score observations: one columnar encode, one blocked
-        classifier call.  Bitwise identical to scoring each observation
-        alone (the batch equivalence battery pins this)."""
+        """Malice probabilities for a batch of (possibly cached)
+        observations: one columnar encode, one blocked classifier call.
+        A row scores bitwise the same alone as inside any batch (the
+        batch equivalence battery pins this)."""
         self._require_fitted()
-        return self.score_block(
+        return self.classifier.predict_proba_batch(
             self.feature_space.encode_block(observations)
-        )
-
-    def verdict_from_observation(
-        self,
-        observation: AppObservation,
-        analysis_minutes: float | None = None,
-        fell_back: bool = False,
-    ) -> VetVerdict:
-        """Classify an observation produced elsewhere (pipeline, cache,
-        replayed log).  The verdict depends only on the observation's
-        features, so a cache hit yields the same malicious/probability
-        pair as the original emulation did.
-        """
-        prob = self.score_observation(observation)
-        return VetVerdict(
-            apk_md5=observation.apk_md5,
-            malicious=prob >= self.decision_threshold,
-            probability=prob,
-            analysis_minutes=(
-                observation.analysis_minutes
-                if analysis_minutes is None
-                else analysis_minutes
-            ),
-            fell_back=fell_back,
         )
 
     def verdicts_from_observations(
@@ -284,8 +245,11 @@ class ApiChecker:
         analysis_minutes: Sequence[float] | None = None,
         fell_back: Sequence[bool] | None = None,
     ) -> list[VetVerdict]:
-        """Batched :meth:`verdict_from_observation`: the whole batch is
-        scored with one blocked classifier call.
+        """Classify observations produced elsewhere (pipeline, cache,
+        replayed log), scoring the whole batch in one blocked call.
+        A verdict depends only on its observation's features, so a
+        cache hit yields the same malicious/probability pair as the
+        original emulation did.
 
         Args:
             observations: observations to classify (may be empty).
@@ -315,16 +279,6 @@ class ApiChecker:
                 )
             )
         return verdicts
-
-    def vet(self, apk: Apk) -> VetVerdict:
-        """Analyze and classify one submitted APK."""
-        self._require_fitted()
-        analysis = self._prod_engine.analyze(apk)
-        return self.verdict_from_observation(
-            analysis.observation,
-            analysis_minutes=analysis.total_minutes,
-            fell_back=analysis.fell_back,
-        )
 
     def vet_batch(self, corpus: AppCorpus | list[Apk]) -> list[VetVerdict]:
         """Analyze each APK, then score the whole batch in one block.

@@ -143,7 +143,7 @@ class DiffVetter:
         return DiffVetStats.from_registry(self.registry)
 
     def _full_scan(self, apk: Apk, reason: str) -> DiffDecision:
-        verdict = self.checker.vet(apk)
+        verdict = self.checker.vet_batch([apk])[0]
         self._profiles[apk.md5] = StaticProfile.of(apk)
         self._verdicts[apk.md5] = verdict
         self.registry.inc("diffvet_full_scans_total")

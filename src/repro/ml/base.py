@@ -1,6 +1,11 @@
 """Classifier interface, input validation, and batch-stable kernels.
 
-Two numerical facts shape the scoring hot path here:
+Every classifier scores through one method,
+:meth:`Classifier.predict_proba_batch`; a single app is a batch of one.
+The base method owns the input handling and each model supplies only a
+private ``_proba`` kernel.
+
+Two numerical facts shape that kernel:
 
 * BLAS matrix products (numpy's ``@``) are **not** batch-invariant:
   the same row scored alone and inside a 1024-row block can differ in
@@ -10,69 +15,46 @@ Two numerical facts shape the scoring hot path here:
   ``(X * w).sum(axis=1)``) reduce each output element in an order that
   depends only on the contracted length — they *are* batch-invariant.
 
-Every ``predict_proba`` implementation therefore routes its linear
-algebra through :func:`row_stable_matvec` / :func:`row_stable_matmul`,
-which is what lets :meth:`Classifier.predict_proba_batch` promise exact
-(bitwise) equality with a per-app scoring loop at any batch size and in
-any row order.  Training keeps plain BLAS — fit determinism across
-batch shapes is not part of the contract, and the fit path is matmul
-heavy.
+Every ``_proba`` kernel therefore routes its linear algebra through
+:func:`row_stable_matvec` / :func:`row_stable_matmul`, which is what
+lets :meth:`Classifier.predict_proba_batch` promise that a row scores
+bitwise the same alone as inside a batch of any size and in any row
+order.  Training keeps plain BLAS — fit determinism across batch shapes
+is not part of the contract, and the fit path is matmul heavy.
 """
 
 from __future__ import annotations
 
 import abc
 import functools
-import threading
 import time
 
 import numpy as np
 
 from repro.obs import MetricsRegistry, default_registry
 
-_timing_guard = threading.local()
 
-
-def _batch_rows(arg) -> int | None:
-    """Row count of a batch argument (FeatureBlock, matrix), else None."""
-    try:
-        return len(arg)
-    except TypeError:
-        return None
-
-
-def _timed(fn, metric: str, batch_label: bool = False):
+def _timed(fn, metric: str):
     """Wrap a Classifier method to record wall time into a registry.
 
     The duration lands in a ``<metric>{classifier=...}`` histogram on
     the instance's bound registry (:meth:`Classifier.bind_registry`),
-    falling back to the process-wide default.  Re-entrant calls record
-    only the outermost frame — whether a subclass delegating to
-    ``super()`` or a batch entry point falling back to the per-row
-    method — so batch scoring yields exactly one ``predict`` span
-    rather than N nested ones.  With ``batch_label`` the span carries a
-    ``batch_size`` label taken from the first argument's row count.
+    falling back to the process-wide default.  A method that returns
+    scores also labels the observation with ``batch_size``, the number
+    of rows it scored.
     """
 
     @functools.wraps(fn)
     def wrapper(self, *args, **kwargs):
-        active = getattr(_timing_guard, "active", None)
-        if active is None:
-            active = _timing_guard.active = set()
-        key = (id(self), metric)
-        if key in active:
-            return fn(self, *args, **kwargs)
-        active.add(key)
         labels = {"classifier": getattr(self, "name", type(self).__name__)}
-        if batch_label and args:
-            rows = _batch_rows(args[0])
-            if rows is not None:
-                labels["batch_size"] = str(rows)
         started = time.perf_counter()
+        result = None
         try:
-            return fn(self, *args, **kwargs)
+            result = fn(self, *args, **kwargs)
+            return result
         finally:
-            active.discard(key)
+            if isinstance(result, np.ndarray):
+                labels["batch_size"] = str(len(result))
             registry = getattr(self, "_obs_registry", None)
             if registry is None:
                 registry = default_registry()
@@ -103,40 +85,6 @@ def row_stable_matmul(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     right-hand sides (neural-network layers, per-class score columns).
     """
     return np.einsum("nd,dh->nh", X, W, optimize=False)
-
-
-def block_matrix(block) -> np.ndarray:
-    """Normalize a batch argument to a 2-D feature matrix.
-
-    Accepts a :class:`~repro.core.features.FeatureBlock` (duck-typed on
-    its ``matrix`` attribute) or anything array-like.  Zero-row inputs
-    are legal here — batch entry points handle them explicitly — which
-    is why this is not :func:`check_Xy`.
-    """
-    matrix = getattr(block, "matrix", block)
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2:
-        raise ValueError(
-            f"batch input must be 2-D, got shape {matrix.shape}"
-        )
-    return matrix
-
-
-def binary_block(block) -> np.ndarray:
-    """A uint8 view of a batch argument for the tree-model paths.
-
-    A uint8 ``FeatureBlock`` matrix passes through untouched (the whole
-    point of the columnar layout); anything else takes the same
-    float32 → uint8 conversion the per-row path applies, so both paths
-    see identical bits.
-    """
-    matrix = block_matrix(block)
-    if matrix.dtype == np.uint8:
-        return matrix
-    if matrix.shape[0] == 0:
-        return matrix.astype(np.uint8)
-    matrix, _ = check_Xy(matrix)
-    return matrix.astype(np.uint8)
 
 
 def check_Xy(
@@ -170,12 +118,17 @@ class Classifier(abc.ABC):
     """Binary classifier interface.
 
     Implementations are positive-class = malicious by convention; all
-    return probabilities in [0, 1] from :meth:`predict_proba` and hard
-    labels from :meth:`predict`.
+    return probabilities in [0, 1] from :meth:`predict_proba_batch` and
+    hard labels from :meth:`predict`.  A subclass implements ``fit``
+    and the ``_proba`` kernel, and names in ``_fitted_attr`` the
+    attribute ``fit`` sets.
     """
 
     #: Human-readable name used in experiment tables.
     name: str = "classifier"
+
+    #: Attribute that is None until ``fit`` has run.
+    _fitted_attr: str
 
     #: Registry fit/predict wall-times are recorded into (None: the
     #: process-wide default).  Set via :meth:`bind_registry`.
@@ -183,19 +136,9 @@ class Classifier(abc.ABC):
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        for method, metric, batch_label in (
-            ("fit", "ml_fit_seconds", False),
-            ("predict_proba", "ml_predict_seconds", False),
-            ("predict_proba_batch", "ml_predict_seconds", True),
-        ):
-            fn = cls.__dict__.get(method)
-            if (
-                fn is not None
-                and callable(fn)
-                and not getattr(fn, "_obs_wrapped", False)
-                and not getattr(fn, "__isabstractmethod__", False)
-            ):
-                setattr(cls, method, _timed(fn, metric, batch_label))
+        fit = cls.__dict__.get("fit")
+        if callable(fit) and not getattr(fit, "_obs_wrapped", False):
+            cls.fit = _timed(fit, "ml_fit_seconds")
 
     def bind_registry(self, registry: MetricsRegistry) -> "Classifier":
         """Direct this model's timing metrics to ``registry``."""
@@ -207,37 +150,47 @@ class Classifier(abc.ABC):
         """Train on (X, y); returns self for chaining."""
 
     @abc.abstractmethod
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """P(malicious) per row."""
+    def _proba(self, X: np.ndarray) -> np.ndarray:
+        """P(malicious) per row of a non-empty uint8 or float32 matrix.
+
+        Each kernel casts ``X`` to the dtype it computes in (uint8 for
+        the tree models, float32 for the rest).
+        """
 
     def predict_proba_batch(self, block) -> np.ndarray:
-        """P(malicious) per row of a columnar batch.
+        """P(malicious) per row of a batch; one app is a batch of one.
 
-        Contract (the batch-vs-single test battery pins all three):
+        Contract (the batch equivalence battery pins every point):
 
         * accepts a :class:`~repro.core.features.FeatureBlock` or a
-          2-D matrix, including the zero-row case (empty float64 out,
-          nothing raised, no model code touched);
-        * the result is **bitwise** equal to scoring each row alone
-          through :meth:`predict_proba`, at any batch size and in any
-          row order;
+          2-D matrix;
+        * an unfitted model raises ``RuntimeError`` at any row count;
+        * zero rows return an empty float64 array without touching
+          the model kernel;
+        * a row scores **bitwise** the same alone as inside a batch of
+          any size and in any row order;
         * exactly one ``ml_predict_seconds`` observation is recorded,
           labelled with the batch size.
 
-        This base implementation is the loop-free fallback shim: it
-        hands the whole matrix to :meth:`predict_proba`, which is
-        already batch-shaped for every bundled model.  Subclasses
-        override it to skip per-call validation/conversion on the hot
-        path (uint8 tree traversal, single dtype conversion).
+        A uint8 matrix (the ``FeatureBlock`` layout) passes to the
+        kernel untouched; anything else is validated and converted to
+        float32 once by :func:`check_Xy`.
         """
-        X = block_matrix(block)
+        self._require_fitted(self._fitted_attr)
+        X = np.asarray(getattr(block, "matrix", block))
+        if X.ndim != 2:
+            raise ValueError(
+                f"batch input must be 2-D, got shape {X.shape}"
+            )
         if X.shape[0] == 0:
             return np.zeros(0, dtype=np.float64)
-        return np.asarray(self.predict_proba(X), dtype=np.float64)
+        if X.dtype != np.uint8:
+            X, _ = check_Xy(X)
+        return self._proba(X)
 
     def predict(self, X: np.ndarray, threshold: float = 0.5) -> np.ndarray:
         """Hard labels at the given probability threshold."""
-        return (self.predict_proba(X) >= threshold).astype(np.int8)
+        return (self.predict_proba_batch(X) >= threshold).astype(np.int8)
 
     def _require_fitted(self, attr: str) -> None:
         if getattr(self, attr, None) is None:
@@ -249,8 +202,6 @@ class Classifier(abc.ABC):
         return f"<{type(self).__name__}>"
 
 
-# The fallback shim records the batch-labelled span too; the guard in
-# _timed keeps the delegated predict_proba call from double-recording.
 Classifier.predict_proba_batch = _timed(
-    Classifier.predict_proba_batch, "ml_predict_seconds", batch_label=True
+    Classifier.predict_proba_batch, "ml_predict_seconds"
 )

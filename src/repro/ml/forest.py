@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.base import Classifier, binary_block, check_Xy
+from repro.ml.base import Classifier, check_Xy
 from repro.ml.tree import CompiledTreesMixin, _TreeBuilder
 
 
@@ -39,6 +39,7 @@ class RandomForest(CompiledTreesMixin, Classifier):
     """
 
     name = "rf"
+    _fitted_attr = "_roots"
 
     #: Target positive-class share of each balanced bootstrap sample.
     BALANCED_POSITIVE_SHARE = 0.3
@@ -117,26 +118,14 @@ class RandomForest(CompiledTreesMixin, Classifier):
     def _trees(self) -> list | None:
         return self._roots
 
-    def _tree_scores(self, Xb: np.ndarray) -> np.ndarray:
+    def _proba(self, X: np.ndarray) -> np.ndarray:
         """Mean leaf probability over the ensemble, all rows at once.
 
         The compiled kernel sums each row's leaf probabilities in the
         fixed tree order, so results are batch-size invariant.
         """
+        Xb = X.astype(np.uint8, copy=False)
         return self._kernel().ordered_sum(Xb) / len(self._roots)
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        self._require_fitted("_roots")
-        X, _ = check_Xy(X)
-        return self._tree_scores(X.astype(np.uint8))
-
-    def predict_proba_batch(self, block) -> np.ndarray:
-        """Blocked path: uint8 feature blocks skip the float32 detour."""
-        self._require_fitted("_roots")
-        Xb = binary_block(block)
-        if Xb.shape[0] == 0:
-            return np.zeros(0, dtype=np.float64)
-        return self._tree_scores(Xb)
 
     def top_features(self, k: int = 20) -> np.ndarray:
         """Indices of the k most Gini-important features, descending."""

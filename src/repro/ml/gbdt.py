@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.base import Classifier, binary_block, check_Xy
+from repro.ml.base import Classifier, check_Xy
 from repro.ml.tree import CompiledTreesMixin, _TreeBuilder, predict_tree
 
 
@@ -35,6 +35,7 @@ class GradientBoostedTrees(CompiledTreesMixin, Classifier):
     """
 
     name = "gbdt"
+    _fitted_attr = "_stages"
 
     def __init__(
         self,
@@ -97,28 +98,15 @@ class GradientBoostedTrees(CompiledTreesMixin, Classifier):
     def _trees(self) -> list | None:
         return self._stages
 
-    def _staged_raw(self, Xb: np.ndarray) -> np.ndarray:
-        """Boosted raw scores for a uint8 block, all rows at once.
+    def _proba(self, X: np.ndarray) -> np.ndarray:
+        """Sigmoid of the boosted raw scores, all rows at once.
 
         Stage order fixes the per-row accumulation order, keeping the
         result batch-size invariant.
         """
-        return self._kernel().ordered_sum(
-            Xb, start=self._base_score, scale=self.learning_rate
+        raw = self._kernel().ordered_sum(
+            X.astype(np.uint8, copy=False),
+            start=self._base_score,
+            scale=self.learning_rate,
         )
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        self._require_fitted("_stages")
-        X, _ = check_Xy(X)
-        return self._staged_raw(X.astype(np.uint8))
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.decision_function(X))
-
-    def predict_proba_batch(self, block) -> np.ndarray:
-        """Blocked path: uint8 feature blocks skip the float32 detour."""
-        self._require_fitted("_stages")
-        Xb = binary_block(block)
-        if Xb.shape[0] == 0:
-            return np.zeros(0, dtype=np.float64)
-        return _sigmoid(self._staged_raw(Xb))
+        return _sigmoid(raw)

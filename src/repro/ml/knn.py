@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.base import Classifier, block_matrix, check_Xy
+from repro.ml.base import Classifier, check_Xy
 
 
 class KNearestNeighbors(Classifier):
@@ -26,6 +26,7 @@ class KNearestNeighbors(Classifier):
     """
 
     name = "knn"
+    _fitted_attr = "_X"
 
     def __init__(self, k: int = 5, chunk_size: int = 512):
         if k < 1:
@@ -45,7 +46,7 @@ class KNearestNeighbors(Classifier):
         self._row_sums = X.sum(axis=1)
         return self
 
-    def _scores(self, Xf: np.ndarray) -> np.ndarray:
+    def _proba(self, X: np.ndarray) -> np.ndarray:
         """Malicious fraction among the k nearest rows, chunked.
 
         Batch-size invariant even though the dot products run through
@@ -54,6 +55,11 @@ class KNearestNeighbors(Classifier):
         accumulation order; argpartition and the k-neighbour mean are
         strictly per-row.
         """
+        if X.shape[1] != self._X.shape[1]:
+            raise ValueError(
+                f"expected {self._X.shape[1]} features, got {X.shape[1]}"
+            )
+        Xf = X.astype(np.float32, copy=False)
         k = min(self.k, self._X.shape[0])
         out = np.empty(Xf.shape[0])
         for start in range(0, Xf.shape[0], self.chunk_size):
@@ -65,25 +71,3 @@ class KNearestNeighbors(Classifier):
             nearest = np.argpartition(dists, kth=k - 1, axis=1)[:, :k]
             out[start : start + block.shape[0]] = self._y[nearest].mean(axis=1)
         return out
-
-    def _check_features(self, X: np.ndarray) -> None:
-        if X.shape[1] != self._X.shape[1]:
-            raise ValueError(
-                f"expected {self._X.shape[1]} features, got {X.shape[1]}"
-            )
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        self._require_fitted("_X")
-        X, _ = check_Xy(X)
-        self._check_features(X)
-        return self._scores(X)
-
-    def predict_proba_batch(self, block) -> np.ndarray:
-        """Blocked path: one dtype conversion for the whole block."""
-        self._require_fitted("_X")
-        X = block_matrix(block)
-        if X.shape[0] == 0:
-            return np.zeros(0, dtype=np.float64)
-        X, _ = check_Xy(X)
-        self._check_features(X)
-        return self._scores(X)

@@ -9,12 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.base import (
-    Classifier,
-    block_matrix,
-    check_Xy,
-    row_stable_matvec,
-)
+from repro.ml.base import Classifier, check_Xy, row_stable_matvec
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -34,6 +29,7 @@ class LogisticRegression(Classifier):
     """
 
     name = "lr"
+    _fitted_attr = "coef_"
 
     def __init__(
         self,
@@ -96,20 +92,7 @@ class LogisticRegression(Classifier):
         self.intercept_ = float(b)
         return self
 
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        self._require_fitted("coef_")
-        X, _ = check_Xy(X)
+    def _proba(self, X: np.ndarray) -> np.ndarray:
         # Row-stable matvec, not BLAS: scoring must be batch-invariant.
-        return row_stable_matvec(X, self.coef_) + self.intercept_
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.decision_function(X))
-
-    def predict_proba_batch(self, block) -> np.ndarray:
-        """Blocked path: one dtype conversion for the whole block."""
-        self._require_fitted("coef_")
-        X = block_matrix(block)
-        if X.shape[0] == 0:
-            return np.zeros(0, dtype=np.float64)
-        X, _ = check_Xy(X)
-        return _sigmoid(row_stable_matvec(X, self.coef_) + self.intercept_)
+        Xf = X.astype(np.float32, copy=False)
+        return _sigmoid(row_stable_matvec(Xf, self.coef_) + self.intercept_)

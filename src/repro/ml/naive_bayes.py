@@ -11,18 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.base import (
-    Classifier,
-    block_matrix,
-    check_Xy,
-    row_stable_matvec,
-)
+from repro.ml.base import Classifier, check_Xy, row_stable_matvec
 
 
 class BernoulliNaiveBayes(Classifier):
     """Naive Bayes over binary features with Laplace smoothing."""
 
     name = "nb"
+    _fitted_attr = "_log_p"
 
     def __init__(self, alpha: float = 1.0):
         if alpha <= 0:
@@ -50,7 +46,7 @@ class BernoulliNaiveBayes(Classifier):
         self._log_q = np.log1p(-p)
         return self
 
-    def _posterior(self, Xf: np.ndarray) -> np.ndarray:
+    def _proba(self, X: np.ndarray) -> np.ndarray:
         """P(malware | x) per row via row-stable log-joint scores.
 
         ``x·log p + (1-x)·log q`` is folded into one matvec per class,
@@ -58,6 +54,11 @@ class BernoulliNaiveBayes(Classifier):
         a single row-stable kernel call and results are batch-size
         invariant.
         """
+        if X.shape[1] != self._log_p.shape[1]:
+            raise ValueError(
+                f"expected {self._log_p.shape[1]} features, got {X.shape[1]}"
+            )
+        Xf = X.astype(np.float32, copy=False)
         joint = np.empty((Xf.shape[0], 2), dtype=np.float64)
         for c in (0, 1):
             joint[:, c] = (
@@ -70,25 +71,3 @@ class BernoulliNaiveBayes(Classifier):
         probs = np.exp(joint - m)
         probs /= probs.sum(axis=1, keepdims=True)
         return probs[:, 1]
-
-    def _check_features(self, X: np.ndarray) -> None:
-        if X.shape[1] != self._log_p.shape[1]:
-            raise ValueError(
-                f"expected {self._log_p.shape[1]} features, got {X.shape[1]}"
-            )
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        self._require_fitted("_log_p")
-        X, _ = check_Xy(X)
-        self._check_features(X)
-        return self._posterior(X)
-
-    def predict_proba_batch(self, block) -> np.ndarray:
-        """Blocked path: one dtype conversion for the whole block."""
-        self._require_fitted("_log_p")
-        X = block_matrix(block)
-        if X.shape[0] == 0:
-            return np.zeros(0, dtype=np.float64)
-        X, _ = check_Xy(X)
-        self._check_features(X)
-        return self._posterior(X)

@@ -9,12 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.base import (
-    Classifier,
-    block_matrix,
-    check_Xy,
-    row_stable_matmul,
-)
+from repro.ml.base import Classifier, check_Xy, row_stable_matmul
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -36,6 +31,7 @@ class NeuralNetwork(Classifier):
     """
 
     name = "ann"
+    _fitted_attr = "_weights"
 
     def __init__(
         self,
@@ -131,30 +127,16 @@ class NeuralNetwork(Classifier):
                         )
         return self
 
-    def _score_rows(self, Xf: np.ndarray) -> np.ndarray:
+    def _proba(self, X: np.ndarray) -> np.ndarray:
         """Inference-only forward pass through row-stable matmuls.
 
         Training keeps BLAS (``_forward``) for speed; scoring routes
         every layer through :func:`row_stable_matmul` so batch and
         per-row results are bitwise identical.
         """
-        h = Xf
+        h = X.astype(np.float32, copy=False)
         last = len(self._weights) - 1
         for i, (w, b) in enumerate(zip(self._weights, self._biases)):
             z = row_stable_matmul(h, w) + b
             h = z if i == last else np.maximum(z, 0.0)
         return _sigmoid(h[:, 0])
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        self._require_fitted("_weights")
-        X, _ = check_Xy(X)
-        return self._score_rows(X)
-
-    def predict_proba_batch(self, block) -> np.ndarray:
-        """Blocked path: one dtype conversion for the whole block."""
-        self._require_fitted("_weights")
-        X = block_matrix(block)
-        if X.shape[0] == 0:
-            return np.zeros(0, dtype=np.float64)
-        X, _ = check_Xy(X)
-        return self._score_rows(X)

@@ -11,12 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.base import (
-    Classifier,
-    block_matrix,
-    check_Xy,
-    row_stable_matvec,
-)
+from repro.ml.base import Classifier, check_Xy, row_stable_matvec
 
 
 class LinearSVM(Classifier):
@@ -33,6 +28,7 @@ class LinearSVM(Classifier):
     """
 
     name = "svm"
+    _fitted_attr = "coef_"
 
     #: Adam steps per configured epoch.
     STEPS_PER_EPOCH = 20
@@ -104,26 +100,10 @@ class LinearSVM(Classifier):
         self._platt_scale = 1.0 / max(spread, 1e-6)
         return self
 
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        self._require_fitted("coef_")
-        X, _ = check_Xy(X)
+    def _proba(self, X: np.ndarray) -> np.ndarray:
+        """Platt sigmoid of the margin."""
         # Row-stable matvec, not BLAS: scoring must be batch-invariant.
-        return row_stable_matvec(X, self.coef_) + self.intercept_
-
-    def _platt(self, margins: np.ndarray) -> np.ndarray:
+        Xf = X.astype(np.float32, copy=False)
+        margins = row_stable_matvec(Xf, self.coef_) + self.intercept_
         z = margins * self._platt_scale
         return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return self._platt(self.decision_function(X))
-
-    def predict_proba_batch(self, block) -> np.ndarray:
-        """Blocked path: one dtype conversion for the whole block."""
-        self._require_fitted("coef_")
-        X = block_matrix(block)
-        if X.shape[0] == 0:
-            return np.zeros(0, dtype=np.float64)
-        X, _ = check_Xy(X)
-        return self._platt(
-            row_stable_matvec(X, self.coef_) + self.intercept_
-        )

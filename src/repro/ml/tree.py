@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ml.base import Classifier, binary_block, check_Xy
+from repro.ml.base import Classifier, check_Xy
 
 _MAX_DEPTH_CAP = 64
 
@@ -298,6 +298,7 @@ class CartTree(CompiledTreesMixin, Classifier):
     """
 
     name = "cart"
+    _fitted_attr = "_root"
 
     def __init__(
         self,
@@ -345,15 +346,5 @@ class CartTree(CompiledTreesMixin, Classifier):
     def _trees(self) -> list | None:
         return None if self._root is None else [self._root]
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        self._require_fitted("_root")
-        X, _ = check_Xy(X)
-        return self._kernel().leaf_values(X.astype(np.uint8))[0]
-
-    def predict_proba_batch(self, block) -> np.ndarray:
-        """Blocked path: the uint8 block goes straight to the kernel."""
-        self._require_fitted("_root")
-        Xb = binary_block(block)
-        if Xb.shape[0] == 0:
-            return np.zeros(0, dtype=np.float64)
-        return self._kernel().leaf_values(Xb)[0]
+    def _proba(self, X: np.ndarray) -> np.ndarray:
+        return self._kernel().leaf_values(X.astype(np.uint8, copy=False))[0]

@@ -112,9 +112,6 @@ class RuleEvaluator:
                 self.registry.inc("rules_top_behavior_total", behavior=top)
         return reports
 
-    def evaluate_one(self, observation: AppObservation) -> BehaviorReport:
-        return self.evaluate([observation])[0]
-
     def _evaluate(
         self, observations: Sequence[AppObservation]
     ) -> list[BehaviorReport]:

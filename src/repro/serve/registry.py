@@ -443,14 +443,14 @@ class ModelRegistry:
         comparison feeds the live agreement tally.
         """
         with self.lease() as (active_version, active, shadow):
-            verdict = active.verdict_from_observation(observation)
+            verdict = active.verdicts_from_observations([observation])[0]
             shadow_verdict = None
             shadow_version = None
             if shadow is not None:
                 shadow_version, shadow_checker = shadow
-                shadow_verdict = shadow_checker.verdict_from_observation(
-                    observation
-                )
+                shadow_verdict = shadow_checker.verdicts_from_observations(
+                    [observation]
+                )[0]
         scored = ScoredSubmission(
             verdict=verdict,
             model_version=active_version,

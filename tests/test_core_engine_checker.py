@@ -95,7 +95,7 @@ def test_engine_rejects_negative_retries(sdk):
 def test_checker_requires_fit_before_use(sdk, generator):
     checker = ApiChecker(sdk)
     with pytest.raises(RuntimeError):
-        checker.vet(generator.sample_app(malicious=False))
+        checker.vet_batch([generator.sample_app(malicious=False)])[0]
     with pytest.raises(RuntimeError):
         _ = checker.key_api_ids
 
@@ -108,7 +108,7 @@ def test_checker_fit_selects_and_trains(fitted_checker):
 
 def test_checker_vet_verdict_fields(fitted_checker, generator):
     apk = generator.sample_app(malicious=True)
-    verdict = fitted_checker.vet(apk)
+    verdict = fitted_checker.vet_batch([apk])[0]
     assert verdict.apk_md5 == apk.md5
     assert 0.0 <= verdict.probability <= 1.0
     assert verdict.malicious == (
@@ -167,5 +167,5 @@ def test_vet_time_is_market_grade(fitted_checker, sdk, catalog):
 
     gen = CorpusGenerator(sdk, seed=313, catalog=catalog)
     apps = [gen.sample_app(malicious=False) for _ in range(30)]
-    minutes = [fitted_checker.vet(a).analysis_minutes for a in apps]
+    minutes = [fitted_checker.vet_batch([a])[0].analysis_minutes for a in apps]
     assert 0.5 < float(np.mean(minutes)) < 4.0

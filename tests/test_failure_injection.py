@@ -99,7 +99,7 @@ def test_checker_vet_survives_flaky_production_engine(
     original = engine.primary
     try:
         engine.primary = FlakyBackend(n_failures=1)
-        verdict = fitted_checker.vet(generator.sample_app(malicious=True))
+        verdict = fitted_checker.vet_batch([generator.sample_app(malicious=True)])[0]
         assert verdict.analysis_minutes > 0
     finally:
         engine.primary = original

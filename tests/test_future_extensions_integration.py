@@ -42,7 +42,7 @@ def test_diffvet_agrees_with_full_scans(fitted_checker, sdk, catalog):
     decisions = vetter.vet_batch(apps)
     for apk, decision in zip(apps, decisions):
         if decision.fast_path:
-            full = fitted_checker.vet(apk)
+            full = fitted_checker.vet_batch([apk])[0]
             assert decision.verdict.malicious == full.malicious
 
 

@@ -33,7 +33,7 @@ def test_probabilities_in_unit_interval(name):
     X, y = _separable_task(n=300)
     model = make_classifier(name, seed=2)
     model.fit(X[:200], y[:200])
-    proba = model.predict_proba(X[200:])
+    proba = model.predict_proba_batch(X[200:])
     assert proba.shape == (100,)
     assert np.all(proba >= 0.0) and np.all(proba <= 1.0)
 
@@ -48,8 +48,8 @@ def test_predict_before_fit_raises(name):
 @pytest.mark.parametrize("name", CLASSIFIER_NAMES)
 def test_deterministic_given_seed(name):
     X, y = _separable_task(n=300)
-    a = make_classifier(name, seed=7).fit(X, y).predict_proba(X)
-    b = make_classifier(name, seed=7).fit(X, y).predict_proba(X)
+    a = make_classifier(name, seed=7).fit(X, y).predict_proba_batch(X)
+    b = make_classifier(name, seed=7).fit(X, y).predict_proba_batch(X)
     assert np.allclose(a, b)
 
 

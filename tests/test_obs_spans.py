@@ -144,31 +144,38 @@ def test_batch_scoring_records_one_labelled_predict_span():
         "ml_predict_seconds", classifier="lr", batch_size="17"
     )
     assert snap is not None and snap.count == 1
-    # The per-row path keeps its unlabelled series.
-    clf.predict_proba(X[:1])
-    assert reg.histogram("ml_predict_seconds", classifier="lr").count == 1
 
 
 def test_fallback_batch_shim_does_not_double_record():
-    """The base-class shim delegates to predict_proba; the re-entrancy
-    guard must keep that inner call from recording a second span."""
+    """A classifier defining only ``fit`` and ``_proba`` inherits the
+    base batch method's timing: exactly one ``ml_predict_seconds``
+    observation per call, the unfitted and zero-row calls included."""
     import numpy as np
 
     from repro.ml.base import Classifier
 
     class MeanScore(Classifier):
         name = "mean"
+        _fitted_attr = "_width"
+        _width = None
 
         def fit(self, X, y):
+            self._width = np.asarray(X).shape[1]
             return self
 
-        def predict_proba(self, X):
-            return np.asarray(X, dtype=np.float64).mean(axis=1)
+        def _proba(self, X):
+            return X.mean(axis=1, dtype=np.float64)
 
     reg = MetricsRegistry()
     clf = MeanScore().bind_registry(reg)
-    clf.predict_proba_batch(np.zeros((9, 4), dtype=np.uint8))
+    with pytest.raises(RuntimeError, match="fitted"):
+        clf.predict_proba_batch(np.zeros((0, 4), dtype=np.uint8))
     assert reg.histogram_count("ml_predict_seconds") == 1
+    clf.fit(np.zeros((3, 4), dtype=np.uint8), None)
+    clf.predict_proba_batch(np.zeros((0, 4), dtype=np.uint8))
+    assert reg.histogram_count("ml_predict_seconds") == 2
+    clf.predict_proba_batch(np.zeros((9, 4), dtype=np.uint8))
+    assert reg.histogram_count("ml_predict_seconds") == 3
     snap = reg.histogram(
         "ml_predict_seconds", classifier="mean", batch_size="9"
     )

@@ -129,8 +129,8 @@ def test_cache_hits_never_change_verdicts(fitted_checker, sdk, catalog):
     assert second.cache_hits == len(day)
     assert second.n_analyzed == 0
     for a, b in zip(first.analyses, second.analyses):
-        va = fitted_checker.verdict_from_observation(a.observation)
-        vb = fitted_checker.verdict_from_observation(b.observation)
+        va = fitted_checker.verdicts_from_observations([a.observation])[0]
+        vb = fitted_checker.verdicts_from_observations([b.observation])[0]
         assert (va.malicious, va.probability) == (
             vb.malicious,
             vb.probability,

@@ -141,7 +141,7 @@ def test_tree_probabilities_bounded_and_fit_improves(seed, n, d):
     if y.sum() in (0, y.size):
         return
     tree = CartTree(seed=seed).fit(X, y)
-    proba = tree.predict_proba(X)
+    proba = tree.predict_proba_batch(X)
     assert np.all(proba >= 0.0) and np.all(proba <= 1.0)
     # Training accuracy must beat the majority-class baseline.
     acc = (tree.predict(X) == y).mean()

@@ -288,7 +288,7 @@ def test_readme_quickstart_snippet_runs():
     assert checker.key_api_ids.size > 0
     report = checker.evaluate(fresh)
     assert 0.0 <= report.f1 <= 1.0
-    verdict = checker.vet(fresh[0])
+    verdict = checker.vet_batch([fresh[0]])[0]
     assert verdict.analysis_minutes > 0
 
 

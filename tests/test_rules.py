@@ -185,7 +185,7 @@ def test_ladder_stages_climb_with_evidence(sdk, specs):
               intents=spec.intents), 5),
     ]
     for obs, want_stage in cases:
-        report = evaluator.evaluate_one(obs)
+        report = evaluator.evaluate([obs])[0]
         if want_stage == 0:
             assert report.hits == ()
             continue
@@ -200,9 +200,9 @@ def test_stage5_is_never_vacuous(sdk, specs):
     spec = specs["privilege_probing"]
     assert spec.intents == ()
     evaluator = RuleEvaluator.from_specs([spec], sdk)
-    report = evaluator.evaluate_one(
+    report = evaluator.evaluate([
         _obs(apis=_ids(sdk, spec.apis), perms=spec.permissions)
-    )
+    ])[0]
     (hit,) = report.hits
     assert hit.stage == 4
     assert hit.confidence == STAGE_CONFIDENCE[4] < 1.0
@@ -212,9 +212,9 @@ def test_vacuous_stage1_without_evidence_stays_silent(sdk):
     """A permission-less rule must not fire on an empty observation."""
     spec = RuleSpec(behavior="api_only", apis=(sdk.api_names[0],))
     evaluator = RuleEvaluator.from_specs([spec], sdk)
-    assert evaluator.evaluate_one(_obs()).hits == ()
+    assert evaluator.evaluate([_obs()])[0].hits == ()
     # ...but climbs straight to stage 4 once its API shows up.
-    report = evaluator.evaluate_one(_obs(apis=_ids(sdk, spec.apis)))
+    report = evaluator.evaluate([_obs(apis=_ids(sdk, spec.apis))])[0]
     assert report.hits[0].stage == 4
 
 
@@ -222,13 +222,13 @@ def test_hit_evidence_names_exact_matches(sdk, specs):
     spec = specs["sms_fraud"]
     api_ids = _ids(sdk, spec.apis)
     evaluator = RuleEvaluator.from_specs([spec], sdk)
-    report = evaluator.evaluate_one(
+    report = evaluator.evaluate([
         _obs(
             apis=api_ids[:1],
             perms=spec.permissions[:1],
             counts=((api_ids[0], 17),),
         )
-    )
+    ])[0]
     (hit,) = report.hits
     assert hit.matched_apis == spec.apis[:1]
     assert hit.missing_apis == spec.apis[1:]
@@ -246,9 +246,9 @@ def test_hits_rank_by_score_then_coverage_then_name(sdk):
         behavior="bbb", apis=(sdk.api_names[0],), permissions=("android.permission.INTERNET",)
     )
     evaluator = RuleEvaluator.from_specs([a, b], sdk)
-    report = evaluator.evaluate_one(
+    report = evaluator.evaluate([
         _obs(apis=_ids(sdk, [sdk.api_names[0]]), perms=("android.permission.INTERNET",))
-    )
+    ])[0]
     # Both reach stage 4 (same score); "bbb" covered 2/2 items while
     # "aaa" covered 1/1 — equal fractions tie-break alphabetically.
     assert [h.behavior for h in report.hits] == ["aaa", "bbb"]
@@ -261,13 +261,13 @@ def test_hits_rank_by_score_then_coverage_then_name(sdk):
 def test_behavior_report_round_trips_json(sdk, specs):
     spec = specs["botnet_c2"]
     evaluator = RuleEvaluator.from_specs([spec], sdk)
-    report = evaluator.evaluate_one(
+    report = evaluator.evaluate([
         _obs(
             apis=_ids(sdk, spec.apis),
             perms=spec.permissions,
             intents=spec.intents,
         )
-    )
+    ])[0]
     clone = BehaviorReport.from_dict(
         json.loads(json.dumps(report.to_dict()))
     )
@@ -279,12 +279,12 @@ def test_behavior_report_round_trips_json(sdk, specs):
 def test_report_summary_is_analyst_readable(sdk, specs):
     spec = specs["sms_fraud"]
     evaluator = RuleEvaluator.from_specs([spec], sdk)
-    silent = evaluator.evaluate_one(_obs())
+    silent = evaluator.evaluate([_obs()])[0]
     assert "no behavior evidence" in silent.summary()
-    loud = evaluator.evaluate_one(
+    loud = evaluator.evaluate([
         _obs(apis=_ids(sdk, spec.apis), perms=spec.permissions,
              intents=spec.intents)
-    )
+    ])[0]
     assert "sms_fraud" in loud.summary()
     assert "stage 5/5" in loud.summary()
 
@@ -381,7 +381,7 @@ def test_triage_flagged_carries_behavior_reports(
     engine = fitted_checker.production_engine
     observations = [engine.analyze(a).observation for a in apps]
     verdicts = [
-        fitted_checker.verdict_from_observation(obs)
+        fitted_checker.verdicts_from_observations([obs])[0]
         for obs in observations
     ]
     rules = RuleEvaluator.builtin(
@@ -490,9 +490,9 @@ def test_flagged_families_match_their_rule_profiles(
         if not apk.is_malicious or apk.family not in profiles:
             continue
         obs = engine.analyze(apk).observation
-        if not fitted_checker.verdict_from_observation(obs).malicious:
+        if not fitted_checker.verdicts_from_observations([obs])[0].malicious:
             continue
-        top = rules.evaluate_one(obs).top_behavior
+        top = rules.evaluate([obs])[0].top_behavior
         by_family.setdefault(apk.family, []).append(top)
     assert len(by_family) >= 5  # the day must exercise most families
     misses = []

@@ -1,9 +1,11 @@
 """Batch-vs-single scoring equivalence battery.
 
-The ``predict_proba_batch`` contract promises **bitwise** equality with
-a per-app ``predict_proba`` loop — not approximate closeness — at any
-batch size and in any row order, for every bundled classifier.  That
-only holds because the scoring paths route their linear algebra through
+The ``predict_proba_batch`` contract promises that a row scored as a
+batch of one is **bitwise** equal — not approximately close — to the
+same row scored inside a batch of any size and in any row order, for
+every bundled classifier, and that a float32 matrix scores the same
+bits as the uint8 ``FeatureBlock`` holding the same rows.  That only
+holds because the scoring kernels route their linear algebra through
 the row-stable kernels in :mod:`repro.ml.base`; these tests are the
 tripwire for anyone swapping a BLAS matmul back in.
 
@@ -54,7 +56,7 @@ def fitted(score_data):
 
 @pytest.fixture(scope="module")
 def single_scores(score_data, fitted):
-    """name -> per-app predict_proba loop over the test block (cached)."""
+    """name -> each test row scored as a batch of one (cached)."""
     _, _, block = score_data
     cache = {}
 
@@ -63,7 +65,7 @@ def single_scores(score_data, fitted):
             clf = fitted(name)
             cache[name] = np.array(
                 [
-                    clf.predict_proba(block.matrix[i : i + 1])[0]
+                    clf.predict_proba_batch(block.matrix[i : i + 1])[0]
                     for i in range(len(block))
                 ]
             )
@@ -113,32 +115,56 @@ def test_zero_row_block_returns_empty(score_data, fitted, name):
     assert scores.dtype == np.float64
 
 
-def test_fallback_shim_matches_contract(score_data):
-    """A classifier without a batch override inherits an exact shim."""
+@pytest.mark.parametrize("name", CLASSIFIER_NAMES)
+def test_float32_matrix_scores_like_the_uint8_block(
+    score_data, fitted, single_scores, name
+):
+    """A float32 matrix is validated and converted once; the uint8
+    block goes to the kernel untouched.  Both give the same bits."""
+    _, _, block = score_data
+    clf = fitted(name)
+    as_float = clf.predict_proba_batch(block.matrix.astype(np.float32))
+    assert np.array_equal(as_float, clf.predict_proba_batch(block))
+    assert np.array_equal(as_float, single_scores(name))
 
-    class LoopOnly(Classifier):
+
+def test_fallback_shim_matches_contract(score_data):
+    """A classifier defining only ``fit`` and ``_proba`` falls back on
+    the base batch method: the empty case, the unfitted check and the
+    batch-of-one equivalence all come from there."""
+
+    class Means(Classifier):
         name = "means"
+        _fitted_attr = "_width"
+        _width = None
+        kernel_calls = 0
 
         def fit(self, X, y):
+            self._width = np.asarray(X).shape[1]
             return self
 
-        def predict_proba(self, X):
+        def _proba(self, X):
+            self.kernel_calls += 1
             # Per-row reduction: batch-invariant by construction.
-            return np.asarray(X, dtype=np.float64).mean(axis=1)
+            return X.mean(axis=1, dtype=np.float64)
 
+    clf = Means()
+    empty = FeatureBlock(np.zeros((0, N_FEATURES), dtype=np.uint8), ())
+    with pytest.raises(RuntimeError, match="fitted"):
+        clf.predict_proba_batch(empty)
+    clf.fit(np.zeros((3, N_FEATURES), dtype=np.uint8), None)
+    scores = clf.predict_proba_batch(empty)
+    assert scores.shape == (0,) and scores.dtype == np.float64
+    assert clf.kernel_calls == 0
     _, _, block = score_data
-    clf = LoopOnly().fit(None, None)
     reference = np.array(
         [
-            clf.predict_proba(block.matrix[i : i + 1])[0]
+            clf.predict_proba_batch(block.matrix[i : i + 1])[0]
             for i in range(len(block))
         ]
     )
     assert np.array_equal(clf.predict_proba_batch(block), reference)
-    empty = clf.predict_proba_batch(
-        FeatureBlock(np.zeros((0, N_FEATURES), dtype=np.uint8), ())
-    )
-    assert empty.shape == (0,)
+    assert np.array_equal(reference, block.matrix.mean(axis=1))
 
 
 # -- empty-input regressions across the consumers -------------------------

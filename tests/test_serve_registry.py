@@ -58,8 +58,8 @@ def test_load_round_trips_verdicts(models, fitted_checker, generator):
     apps = [generator.sample_app() for _ in range(5)]
     loaded = models.load(1)
     for apk in apps:
-        assert loaded.vet(apk).probability == pytest.approx(
-            fitted_checker.vet(apk).probability
+        assert loaded.vet_batch([apk])[0].probability == pytest.approx(
+            fitted_checker.vet_batch([apk])[0].probability
         )
 
 

@@ -372,7 +372,7 @@ def test_batched_explanations_equal_per_app_ones(models, generator):
             assert outcome["explanation"] is None
             continue
         flagged += 1
-        alone = evaluator.evaluate_one(service.cache.get(apk.md5))
+        alone = evaluator.evaluate([service.cache.get(apk.md5)])[0]
         assert outcome["explanation"] == alone.to_dict()
     assert flagged >= 2
     metrics = service.metrics

@@ -105,7 +105,7 @@ def test_kernel_matches_walk_on_corpus_blocks(
     model = corpus_models[name]
     expected = oracle_scores(model, Xb)
     assert_bitwise(model.predict_proba_batch(Xb), expected)
-    assert_bitwise(model.predict_proba(Xb.astype(np.float32)), expected)
+    assert_bitwise(model.predict_proba_batch(Xb.astype(np.float32)), expected)
 
 
 def test_serving_forest_matches_walk(fitted_checker, corpus_block):
