@@ -57,11 +57,13 @@ class Apk:
         h.update(str(self.manifest.version_code).encode())
         h.update(",".join(self.manifest.requested_permissions).encode())
         h.update(",".join(a.name for a in self.manifest.activities).encode())
-        for site in self.dex.call_sites:
-            h.update(
+        h.update(
+            "".join([
                 f"{site.api_id}:{site.rate_multiplier:.6f}:"
-                f"{site.reach_quantile:.6f};".encode()
-            )
+                f"{site.reach_quantile:.6f};"
+                for site in self.dex.call_sites
+            ]).encode()
+        )
         h.update(",".join(map(str, self.dex.reflection_api_ids)).encode())
         h.update(",".join(self.dex.sent_intents).encode())
         h.update(",".join(lib.name for lib in self.dex.native_libs).encode())

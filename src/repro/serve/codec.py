@@ -7,9 +7,21 @@ metadata — needs a loss-free JSON representation.  Round-tripping is
 exact: :func:`apk_from_dict` rebuilds an APK whose content MD5 equals
 the original's, which is what lets WAL replay and resubmission dedup
 key everything on ``md5``.
+
+Version 2 (what :func:`apk_to_dict` writes) stores ``dex.call_sites``
+as three parallel columns — ``{"api_id": [...], "rate_multiplier":
+[...], "reach_quantile": [...]}`` — instead of one object per site.
+Call sites are most of a payload (~365 per app), so the columns halve
+its size and its ``json.loads`` time.  :func:`apk_from_dict` reads
+version 1 (a list of site objects) as well, so version-1 bodies and
+WAL records written before the change still decode.  Either way every
+site is built through :class:`~repro.android.dex.ApiCallSite` and the
+content md5 is recomputed and compared with the recorded one.
 """
 
 from __future__ import annotations
+
+import json
 
 from repro.android.apk import Apk
 from repro.android.components import Activity, BroadcastReceiver, Service
@@ -22,10 +34,23 @@ from repro.android.dex import (
 )
 from repro.android.manifest import AndroidManifest
 
-__all__ = ["apk_to_dict", "apk_from_dict", "CODEC_VERSION"]
+__all__ = [
+    "CODEC_VERSION",
+    "apk_from_dict",
+    "apk_to_dict",
+    "apk_to_json",
+    "claimed_md5",
+    "submission_apk",
+]
 
-#: Wire format marker; bump on any incompatible schema change.
-CODEC_VERSION = 1
+#: Wire format marker written by :func:`apk_to_dict`; bump on any
+#: incompatible schema change.
+CODEC_VERSION = 2
+
+#: Versions :func:`apk_from_dict` reads.
+READABLE_VERSIONS = (1, 2)
+
+_MD5_HEX = frozenset("0123456789abcdef")
 
 
 def apk_to_dict(apk: Apk) -> dict:
@@ -67,14 +92,11 @@ def apk_to_dict(apk: Apk) -> dict:
             "min_sdk_level": m.min_sdk_level,
         },
         "dex": {
-            "call_sites": [
-                {
-                    "api_id": s.api_id,
-                    "rate_multiplier": s.rate_multiplier,
-                    "reach_quantile": s.reach_quantile,
-                }
-                for s in d.call_sites
-            ],
+            "call_sites": {
+                "api_id": [s.api_id for s in d.call_sites],
+                "rate_multiplier": [s.rate_multiplier for s in d.call_sites],
+                "reach_quantile": [s.reach_quantile for s in d.call_sites],
+            },
             "reflection_api_ids": list(d.reflection_api_ids),
             "sent_intents": list(d.sent_intents),
             "native_libs": [
@@ -99,15 +121,73 @@ def apk_to_dict(apk: Apk) -> dict:
     }
 
 
-def apk_from_dict(record: dict) -> Apk:
-    """Rebuild an APK from its wire dict.
+def apk_to_json(apk: Apk) -> str:
+    """One APK as a submission body: the JSON text of its wire dict."""
+    return json.dumps(apk_to_dict(apk), separators=(",", ":"))
+
+
+def submission_apk(payload) -> dict:
+    """The APK wire dict inside one decoded submission body.
+
+    A body is ``{"apk": <wire dict>, "lane": ...}`` or a bare wire
+    dict.
 
     Raises:
-        ValueError: unsupported codec version, or the rebuilt content
-            hash does not match the recorded ``md5`` (corrupt payload).
+        ValueError: the payload or its ``apk`` is not a JSON object.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError("payload must be a JSON object")
+    apk = payload.get("apk", payload)
+    if not isinstance(apk, dict):
+        raise ValueError("apk must be a JSON object")
+    return apk
+
+
+def claimed_md5(record: dict) -> str | None:
+    """The md5 a wire dict records, if it is 32 lowercase hex digits.
+
+    Cheap and unverified: :func:`apk_from_dict` is what checks it
+    against the content.
+    """
+    md5 = record.get("md5")
+    if isinstance(md5, str) and len(md5) == 32 and _MD5_HEX.issuperset(md5):
+        return md5
+    return None
+
+
+def _call_sites(sites, version: int) -> tuple[ApiCallSite, ...]:
+    if version == 1:
+        return tuple(
+            ApiCallSite(
+                api_id=int(s["api_id"]),
+                rate_multiplier=float(s["rate_multiplier"]),
+                reach_quantile=float(s["reach_quantile"]),
+            )
+            for s in sites
+        )
+    ids = sites["api_id"]
+    rates = sites["rate_multiplier"]
+    reaches = sites["reach_quantile"]
+    if not len(ids) == len(rates) == len(reaches):
+        raise ValueError(
+            f"call_sites columns differ in length: api_id={len(ids)}, "
+            f"rate_multiplier={len(rates)}, reach_quantile={len(reaches)}"
+        )
+    return tuple(
+        map(ApiCallSite, map(int, ids), map(float, rates), map(float, reaches))
+    )
+
+
+def apk_from_dict(record: dict) -> Apk:
+    """Rebuild an APK from its wire dict (codec version 1 or 2).
+
+    Raises:
+        ValueError: unsupported codec version, ``call_sites`` columns
+            of unequal length, or the rebuilt content hash does not
+            match the recorded ``md5`` (corrupt payload).
     """
     version = record.get("v")
-    if version != CODEC_VERSION:
+    if type(version) is not int or version not in READABLE_VERSIONS:
         raise ValueError(f"unsupported apk codec version: {version!r}")
     m = record["manifest"]
     d = record["dex"]
@@ -143,14 +223,7 @@ def apk_from_dict(record: dict) -> Apk:
         min_sdk_level=int(m["min_sdk_level"]),
     )
     dex = DexCode(
-        call_sites=tuple(
-            ApiCallSite(
-                api_id=int(s["api_id"]),
-                rate_multiplier=float(s["rate_multiplier"]),
-                reach_quantile=float(s["reach_quantile"]),
-            )
-            for s in d["call_sites"]
-        ),
+        call_sites=_call_sites(d["call_sites"], version),
         reflection_api_ids=tuple(int(i) for i in d["reflection_api_ids"]),
         sent_intents=tuple(d["sent_intents"]),
         native_libs=tuple(

@@ -12,7 +12,9 @@ it:
 * ``POST /v1/submit`` — body ``{"apk": {...}, "lane": "bulk"}`` (or a
   bare APK wire dict).  ``202`` with an acceptance ticket; ``429`` when
   admission control rejects (queue full); ``409`` when a shard-scoped
-  service does not own the md5; ``400`` on malformed payloads.
+  service does not own the md5; ``400`` on malformed payloads.  The
+  body is decoded once, and after its md5 checks out its text goes to
+  the WAL as it arrived.
 * ``GET /v1/result/<md5>`` — ``200`` with the terminal outcome,
   ``202`` with ``{"status": "pending"|"in_flight"}`` while queued,
   ``404`` for an unknown md5.
@@ -49,8 +51,9 @@ import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.serve.codec import apk_from_dict
-from repro.serve.queue import LANES, QueueFullError, WrongShardError
+from repro.android.apk import Apk
+from repro.serve.codec import apk_from_dict, submission_apk
+from repro.serve.queue import QueueFullError, WrongShardError, parse_lane
 from repro.serve.service import OnlineVettingService
 
 __all__ = [
@@ -203,13 +206,13 @@ class ServiceApi:
 
     def submit(self, body: bytes) -> Response:
         try:
-            apk, lane = parse_submission(body)
+            apk, lane, text = parse_submission(body)
         except ValueError as exc:
             return Response(
                 400, payload=error_body("bad_request", str(exc))
             )
         try:
-            ticket = self.service.submit(apk, lane)
+            ticket = self.service.submit(apk, lane, text)
         except QueueFullError as exc:
             return Response(
                 429,
@@ -239,31 +242,37 @@ class ServiceApi:
         return Response(200, payload=receipt)
 
 
-def parse_submission(body: bytes):
-    """Decode one ``POST /v1/submit`` body into ``(apk, lane)``.
+def decode_envelope(body: bytes) -> tuple[str, dict, int]:
+    """JSON-decode one submit body into ``(text, apk wire dict, lane)``.
 
-    Shared by the service API and the shard router (which validates
-    before proxying so malformed submissions never cross the wire
-    twice).  Raises ``ValueError`` on any malformed payload.
+    Checks the envelope only: the body is UTF-8 JSON, its ``apk`` (or
+    the bare body) is an object, and its lane is a known lane name or
+    number.  ``text`` is the body as received.  Raises ``ValueError``
+    on any malformed envelope.
     """
     try:
-        payload = json.loads(body)
-    except json.JSONDecodeError as exc:
+        text = body.decode("utf-8")
+        payload = json.loads(text)
+        apk = submission_apk(payload)
+        lane = parse_lane(payload.get("lane", "bulk"))
+    except ValueError as exc:
         raise ValueError(f"bad submission: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValueError("bad submission: payload must be a JSON object")
-    apk_dict = payload.get("apk", payload)
-    lane = payload.get("lane", "bulk")
-    if isinstance(lane, str) and lane not in LANES:
-        raise ValueError(
-            f"bad submission: unknown lane {lane!r}; "
-            f"expected one of {sorted(LANES)}"
-        )
+    return text, apk, lane
+
+
+def parse_submission(body: bytes) -> tuple[Apk, int, str]:
+    """Decode one ``POST /v1/submit`` body into ``(apk, lane, text)``.
+
+    The APK is built by the codec, which checks its recorded md5;
+    ``text`` is the body as received, for the WAL.  Raises
+    ``ValueError`` on any malformed payload.
+    """
+    text, wire, lane = decode_envelope(body)
     try:
-        apk = apk_from_dict(apk_dict)
+        apk = apk_from_dict(wire)
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"bad submission: {exc}") from exc
-    return apk, lane
+    return apk, lane, text
 
 
 def _state_response(payload: dict, md5: str) -> Response:

@@ -13,6 +13,22 @@ first, resubmissions/updates next, bulk traffic last (FIFO within a
 lane).  Queue depth is bounded; submissions past the bound are rejected
 with :class:`QueueFullError` — explicit backpressure, counted as
 ``serve_admission_rejects_total`` — rather than buffered without limit.
+
+WAL records are one JSON object per line.  A version-2 acceptance
+record carries the submission body exactly as it arrived::
+
+    {"type": "submit", "v": 2, "seq": 7, "md5": "...", "lane": 2,
+     "body": <the request body's JSON text, spliced in verbatim>}
+
+The body has already passed the codec's md5 check when it is written,
+and it is never parsed and re-serialized on the way: only its raw CR
+and LF bytes — which in JSON that parsed can only be insignificant
+whitespace — become spaces, so one record stays one line.  Version-1
+records (``"apk": <wire dict>`` in place of ``"body"``) still replay,
+through the same :func:`~repro.serve.codec.apk_from_dict`; replay
+rejects a record whose rebuilt md5 differs from its header's.  Every
+record is encoded before the queue lock is taken, so the lock covers
+only the sequence number, the bookkeeping and the write itself.
 """
 
 from __future__ import annotations
@@ -25,7 +41,7 @@ from pathlib import Path
 
 from repro.android.apk import Apk
 from repro.obs import MetricsRegistry
-from repro.serve.codec import apk_from_dict, apk_to_dict
+from repro.serve.codec import apk_from_dict, apk_to_json, submission_apk
 
 __all__ = [
     "LANES",
@@ -52,8 +68,11 @@ LANES = {
 
 _LANE_NAMES = {v: k for k, v in LANES.items()}
 
-#: WAL format marker.
-WAL_FORMAT_VERSION = 1
+#: WAL format marker written on acceptance records.
+WAL_FORMAT_VERSION = 2
+
+#: Acceptance-record versions replay reads.
+READABLE_WAL_VERSIONS = (1, 2)
 
 
 class QueueFullError(RuntimeError):
@@ -99,7 +118,12 @@ def lane_name(lane: int) -> str:
 
 
 def parse_lane(value: int | str) -> int:
-    """Accept a lane by number or by name."""
+    """Accept a lane by number or by name.
+
+    Raises:
+        ValueError: an unknown name or number, or anything else — a
+            bool, float, list or None is not a lane.
+    """
     if isinstance(value, str):
         try:
             return LANES[value]
@@ -107,10 +131,13 @@ def parse_lane(value: int | str) -> int:
             raise ValueError(
                 f"unknown lane {value!r}; expected one of {sorted(LANES)}"
             ) from None
-    lane = int(value)
-    if lane not in _LANE_NAMES:
-        raise ValueError(f"unknown lane {lane}; expected 0, 1, or 2")
-    return lane
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(
+            f"unknown lane {value!r}; expected a name or 0, 1, or 2"
+        )
+    if value not in _LANE_NAMES:
+        raise ValueError(f"unknown lane {value}; expected 0, 1, or 2")
+    return value
 
 
 @dataclass
@@ -196,11 +223,12 @@ class SubmissionQueue:
     # WAL
     # ------------------------------------------------------------------
 
-    def _append(self, record: dict) -> None:
+    def _append(self, *parts: str) -> None:
+        """Write one already-encoded record line (lock held)."""
         if self._wal is None:
             return
-        self._wal.write(json.dumps(record, sort_keys=True))
-        self._wal.write("\n")
+        for part in parts:
+            self._wal.write(part)
         self._wal.flush()
         if self.fsync:
             os.fsync(self._wal.fileno())
@@ -221,20 +249,9 @@ class SubmissionQueue:
                     ) from exc
                 kind = record.get("type")
                 if kind == "submit":
-                    if record.get("v") != WAL_FORMAT_VERSION:
-                        raise ValueError(
-                            f"{self._wal_path}:{line_no}: unsupported WAL "
-                            f"version {record.get('v')!r}"
-                        )
-                    seq = int(record["seq"])
-                    accepted[seq] = SubmissionRecord(
-                        seq=seq,
-                        md5=record["md5"],
-                        lane=parse_lane(record["lane"]),
-                        apk=apk_from_dict(record["apk"]),
-                        replayed=True,
-                    )
-                    self._seq = max(self._seq, seq)
+                    entry = self._replay_submit(record, line_no)
+                    accepted[entry.seq] = entry
+                    self._seq = max(self._seq, entry.seq)
                 elif kind == "done":
                     seq = int(record["seq"])
                     entry = accepted.pop(seq, None)
@@ -264,12 +281,51 @@ class SubmissionQueue:
             self.registry.inc("serve_wal_replayed_total", replayed)
         self._update_depth_gauge()
 
+    def _replay_submit(self, record: dict, line_no: int) -> SubmissionRecord:
+        """Rebuild one acceptance record (WAL version 1 or 2)."""
+        where = f"{self._wal_path}:{line_no}"
+        version = record.get("v")
+        if type(version) is not int or version not in READABLE_WAL_VERSIONS:
+            raise ValueError(f"{where}: unsupported WAL version {version!r}")
+        try:
+            wire = (
+                record["apk"] if version == 1
+                else submission_apk(record["body"])
+            )
+            apk = apk_from_dict(wire)
+            entry = SubmissionRecord(
+                seq=int(record["seq"]),
+                md5=record["md5"],
+                lane=parse_lane(record["lane"]),
+                apk=apk,
+                replayed=True,
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: bad submit record: {exc}") from exc
+        if apk.md5 != entry.md5:
+            raise ValueError(
+                f"{where}: submit record md5 {entry.md5} does not match "
+                f"its body's content hash {apk.md5}"
+            )
+        return entry
+
     # ------------------------------------------------------------------
     # Producer side
     # ------------------------------------------------------------------
 
-    def submit(self, apk: Apk, lane: int | str = LANE_BULK) -> SubmissionRecord:
+    def submit(
+        self,
+        apk: Apk,
+        lane: int | str = LANE_BULK,
+        body: str | None = None,
+    ) -> SubmissionRecord:
         """Accept one submission (durable once this returns).
+
+        ``body`` is the submission's JSON text as it arrived (``{"apk":
+        ..., "lane": ...}`` or a bare wire dict) and must already have
+        decoded to ``apk`` with its md5 checked; it goes into the WAL
+        verbatim.  Without one, the codec encodes ``apk`` once, before
+        the lock is taken.
 
         Resubmitting an md5 that is already pending or in flight is
         idempotent and returns the existing record.  An md5 that already
@@ -281,6 +337,12 @@ class SubmissionQueue:
             QueueFullError: the queue is at ``max_depth``.
         """
         lane = parse_lane(lane)
+        if body is not None:
+            # Raw CR/LF in JSON that parsed can only be whitespace; as
+            # spaces they keep the record on one line.
+            body = body.replace("\r", " ").replace("\n", " ")
+        elif self._wal_path is not None:
+            body = apk_to_json(apk)
         with self._lock:
             if self._closed:
                 raise RuntimeError("queue is closed")
@@ -298,14 +360,11 @@ class SubmissionQueue:
                 seq=self._seq, md5=apk.md5, lane=lane, apk=apk
             )
             self._append(
-                {
-                    "type": "submit",
-                    "v": WAL_FORMAT_VERSION,
-                    "seq": entry.seq,
-                    "md5": entry.md5,
-                    "lane": entry.lane,
-                    "apk": apk_to_dict(apk),
-                }
+                f'{{"type": "submit", "v": {WAL_FORMAT_VERSION}, '
+                f'"seq": {entry.seq}, "md5": "{entry.md5}", '
+                f'"lane": {lane}, "body": ',
+                body,
+                "}\n",
             )
             self._lanes[lane].append(entry)
             self._pending[apk.md5] = entry
@@ -368,15 +427,17 @@ class SubmissionQueue:
 
     def mark_done(self, entry: SubmissionRecord, outcome: dict) -> None:
         """Record a terminal outcome for an in-flight entry (durable)."""
+        line = json.dumps(
+            {
+                "type": "done",
+                "seq": entry.seq,
+                "md5": entry.md5,
+                "outcome": outcome,
+            },
+            sort_keys=True,
+        )
         with self._lock:
-            self._append(
-                {
-                    "type": "done",
-                    "seq": entry.seq,
-                    "md5": entry.md5,
-                    "outcome": outcome,
-                }
-            )
+            self._append(line, "\n")
             self._inflight.pop(entry.seq, None)
             live = self._pending.get(entry.md5)
             if live is not None and live.seq == entry.seq:

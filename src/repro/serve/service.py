@@ -221,8 +221,14 @@ class OnlineVettingService:
     # Submission-facing API
     # ------------------------------------------------------------------
 
-    def submit(self, apk: Apk, lane: int | str = "bulk") -> dict:
+    def submit(
+        self, apk: Apk, lane: int | str = "bulk", body: str | None = None
+    ) -> dict:
         """Accept one submission (durable before return).
+
+        ``body`` is the md5-checked JSON text ``apk`` was decoded from;
+        the queue writes it to the WAL as it is (see
+        :meth:`SubmissionQueue.submit`).
 
         Returns an acceptance ticket ``{md5, seq, lane, status}``.
 
@@ -237,7 +243,7 @@ class OnlineVettingService:
             if owner != shard_id:
                 self.metrics.inc("serve_wrong_shard_rejects_total")
                 raise WrongShardError(apk.md5, owner, shard_id, n_shards)
-        entry = self.queue.submit(apk, lane)
+        entry = self.queue.submit(apk, lane, body)
         self._accept_wall.setdefault(entry.seq, time.perf_counter())
         return {
             "md5": entry.md5,

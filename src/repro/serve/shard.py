@@ -38,10 +38,11 @@ from pathlib import Path
 
 from repro.android.apk import Apk
 from repro.obs import MetricsRegistry
-from repro.serve.codec import apk_to_dict
+from repro.serve.codec import apk_to_dict, claimed_md5
 from repro.serve.http import (
     Response,
     VettingHTTPServer,
+    decode_envelope,
     error_body,
     make_server,
     parse_submission,
@@ -678,10 +679,10 @@ class RouterApi:
     """``/v1`` route handlers for the router front door.
 
     Same route table and error envelope as :class:`ServiceApi` —
-    ``/v1/submit`` validated then proxied to the owning shard (the
-    shard's own status/body pass through verbatim), ``/v1/result`` and
-    ``/v1/explain`` resolved shard-locally, ``/v1/healthz`` and
-    ``/v1/metrics`` scatter/gathered.
+    ``/v1/submit`` routed on its claimed md5 and its bytes proxied to
+    the owning shard (the shard's own status/body pass through
+    verbatim), ``/v1/result`` and ``/v1/explain`` resolved
+    shard-locally, ``/v1/healthz`` and ``/v1/metrics`` scatter/gathered.
     """
 
     def __init__(self, router: ShardRouter):
@@ -734,23 +735,29 @@ class RouterApi:
         return self._passthrough(md5, f"/v1/explain/{md5}")
 
     def submit(self, body: bytes) -> Response:
+        """Route on the body's claimed md5 and forward its bytes as-is.
+
+        Only the envelope is decoded here; the APK is built (and the
+        claim checked) by the owning shard, which answers 400 for a
+        forged md5.  A body that claims no md5 is decoded in full to
+        learn it.
+        """
         try:
-            apk, _lane = parse_submission(body)
+            _text, wire, _lane = decode_envelope(body)
+            md5 = claimed_md5(wire) or parse_submission(body)[0].md5
         except ValueError as exc:
             return Response(
                 400, payload=error_body("bad_request", str(exc))
             )
-        shard_id = self.router.owner_of(apk.md5)
+        shard_id = self.router.owner_of(md5)
         try:
             status, data = self.router.proxy(
-                shard_id, "POST", "/v1/submit", body, md5=apk.md5
+                shard_id, "POST", "/v1/submit", body, md5=md5
             )
         except ShardUnavailableError as exc:
             return Response(
                 503,
-                payload=error_body(
-                    "shard_unavailable", str(exc), apk.md5
-                ),
+                payload=error_body("shard_unavailable", str(exc), md5),
                 headers=retry_after_headers(503),
             )
         return Response(

@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from repro.serve.codec import CODEC_VERSION, apk_from_dict, apk_to_dict
+from repro.serve.codec import (
+    CODEC_VERSION,
+    apk_from_dict,
+    apk_to_dict,
+    claimed_md5,
+)
 
 
 def _round_trip(apk):
@@ -77,3 +82,51 @@ def test_wire_dict_is_json_clean(generator):
     # No numpy scalars, enums, or other non-JSON types may leak in.
     text = json.dumps(apk_to_dict(generator.sample_app(malicious=True)))
     assert isinstance(text, str) and len(text) > 100
+
+
+def test_call_sites_are_columns(generator):
+    apk = generator.sample_app()
+    sites = apk_to_dict(apk)["dex"]["call_sites"]
+    assert sorted(sites) == ["api_id", "rate_multiplier", "reach_quantile"]
+    assert sites["api_id"] == [s.api_id for s in apk.dex.call_sites]
+    assert sites["rate_multiplier"] == [
+        s.rate_multiplier for s in apk.dex.call_sites
+    ]
+    assert sites["reach_quantile"] == [
+        s.reach_quantile for s in apk.dex.call_sites
+    ]
+
+
+@pytest.mark.parametrize(
+    "column", ["api_id", "rate_multiplier", "reach_quantile"]
+)
+def test_unequal_call_site_columns_rejected(generator, column):
+    record = apk_to_dict(generator.sample_app())
+    record["dex"]["call_sites"][column].pop()
+    with pytest.raises(ValueError, match="differ in length"):
+        apk_from_dict(record)
+
+
+def test_call_sites_still_validated_per_site(generator):
+    record = apk_to_dict(generator.sample_app())
+    record.pop("md5")
+    record["dex"]["call_sites"]["api_id"][0] = -1
+    with pytest.raises(ValueError):
+        apk_from_dict(record)
+
+
+def test_bool_codec_version_rejected(generator):
+    record = apk_to_dict(generator.sample_app())
+    record["v"] = True
+    with pytest.raises(ValueError, match="codec version"):
+        apk_from_dict(record)
+
+
+def test_claimed_md5_accepts_only_lowercase_hex(generator):
+    record = apk_to_dict(generator.sample_app())
+    assert claimed_md5(record) == record["md5"]
+    for bad in (record["md5"].upper(), record["md5"][:-1], "z" * 32, 5):
+        record["md5"] = bad
+        assert claimed_md5(record) is None
+    record.pop("md5")
+    assert claimed_md5(record) is None

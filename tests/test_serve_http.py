@@ -223,6 +223,79 @@ def test_malformed_submissions_are_400(served, generator):
     assert status == 400 and err["error"]["code"] == "bad_request"
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"apk": 5},
+        {"apk": [1]},
+        {"apk": "x"},
+        {"apk": None},
+        {"lane": 7},
+        {"lane": [1]},
+        {"lane": None},
+        {"lane": True},
+        {"lane": 1.0},
+    ],
+    ids=lambda p: json.dumps(p),
+)
+def test_malformed_envelopes_are_400_not_a_dropped_connection(
+    served, generator, payload
+):
+    """Every bad envelope gets the error envelope, never a crash."""
+    service, base = served
+    body = {"apk": apk_to_dict(generator.sample_app()), "lane": "bulk"}
+    body.update(payload)
+    status, err = _post(f"{base}/v1/submit", body)
+    assert status == 400
+    assert err["error"]["code"] == "bad_request"
+    assert "bad submission" in err["error"]["message"]
+    assert service.queue.depth == 0 and not service.results
+
+
+def test_lane_numbers_are_accepted(served, generator):
+    _, base = served
+    apk = generator.sample_app()
+    status, ticket = _post(
+        f"{base}/v1/submit", {"apk": apk_to_dict(apk), "lane": 0}
+    )
+    assert status == 202 and ticket["lane"] == "escalated"
+
+
+def test_accepted_body_reaches_the_wal_verbatim(
+    tmp_path, fitted_checker, generator
+):
+    models = ModelRegistry(tmp_path / "models")
+    models.publish(fitted_checker, activate=True)
+    spool = tmp_path / "spool"
+    service = OnlineVettingService(models, spool_dir=spool)
+    server = make_server(service).start_background()
+    base = f"http://127.0.0.1:{server.port}"
+    apk = generator.sample_app()
+    body = json.dumps(
+        {"lane": "resubmit", "apk": apk_to_dict(apk)}, indent=1
+    ).encode()
+    try:
+        response, ticket = _raw(base, "POST", "/v1/submit", body)
+        assert response.status == 202 and ticket["md5"] == apk.md5
+        forged = apk_to_dict(generator.sample_app())
+        forged["md5"] = apk.md5[::-1]
+        response, _ = _raw(
+            base, "POST", "/v1/submit", json.dumps(forged).encode()
+        )
+        assert response.status == 400
+    finally:
+        server.stop()
+        service.close()
+    # One record: the rejected body never reached the WAL, and the
+    # accepted one is there byte for byte, its newlines made spaces.
+    (line,) = (spool / "queue.wal").read_text("utf-8").splitlines()
+    expected_body = body.decode().replace("\n", " ")
+    assert line == (
+        f'{{"type": "submit", "v": 2, "seq": 1, "md5": "{apk.md5}", '
+        f'"lane": 1, "body": {expected_body}}}'
+    )
+
+
 def test_queue_full_is_429(tmp_path, fitted_checker, generator):
     models = ModelRegistry(tmp_path / "models")
     models.publish(fitted_checker, activate=True)

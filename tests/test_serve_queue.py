@@ -29,6 +29,9 @@ def test_parse_lane_names_and_numbers():
         parse_lane("express")
     with pytest.raises(ValueError, match="unknown lane"):
         parse_lane(7)
+    for not_a_lane in (True, False, None, [1], 1.0):
+        with pytest.raises(ValueError, match="unknown lane"):
+            parse_lane(not_a_lane)
 
 
 def test_priority_order_and_fifo_within_lane(apps):

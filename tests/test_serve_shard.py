@@ -16,11 +16,12 @@ import urllib.request
 import pytest
 
 from repro.serve.codec import apk_to_dict
-from repro.serve.http import make_server
+from repro.serve.http import ServiceApi
 from repro.serve.queue import WrongShardError, shard_of
 from repro.serve.registry import ModelRegistry
 from repro.serve.service import OnlineVettingService
 from repro.serve.shard import (
+    RouterApi,
     ShardRouter,
     ShardUnavailableError,
     make_router_server,
@@ -474,3 +475,126 @@ def test_stop_and_drain_report_pending_md5s(
     assert status.pending == md5s
     abandoned = service.close()
     assert abandoned == md5s
+
+
+# ----------------------------------------------------------------------
+# Front-door submit: route on the claimed md5, forward the bytes
+# ----------------------------------------------------------------------
+
+
+class InProcessFleet:
+    """Duck-typed router over shard-scoped in-process services.
+
+    ``proxy`` hands the request to the owning shard's own
+    :class:`~repro.serve.http.ServiceApi` and records every call, so a
+    test sees exactly which bytes the front door forwarded where.
+    """
+
+    def __init__(self, models, n_shards=2):
+        self.n_shards = n_shards
+        self.services = [
+            OnlineVettingService(models, shard=(k, n_shards))
+            for k in range(n_shards)
+        ]
+        self.apis = [ServiceApi(service) for service in self.services]
+        self.calls = []
+
+    def owner_of(self, md5):
+        return shard_of(md5, self.n_shards)
+
+    def proxy(self, shard_id, method, path, body=None, md5=None):
+        self.calls.append((shard_id, method, path, body, md5))
+        response = self.apis[shard_id].submit(body)
+        return response.status, json.dumps(response.payload).encode()
+
+    def close(self):
+        for service in self.services:
+            service.close()
+
+
+@pytest.fixture()
+def fleet(tmp_path, fitted_checker):
+    models = ModelRegistry(tmp_path / "models")
+    models.publish(fitted_checker, activate=True)
+    fleet = InProcessFleet(models)
+    yield fleet
+    fleet.close()
+
+
+def test_front_door_forwards_request_bytes_unchanged(fleet, generator):
+    api = RouterApi(fleet)
+    apk = generator.sample_app()
+    body = json.dumps(
+        {"lane": "escalated", "apk": apk_to_dict(apk)}, indent=2
+    ).encode()
+    response = api.submit(body)
+    assert response.status == 202
+    assert json.loads(response.text)["md5"] == apk.md5
+    (call,) = fleet.calls
+    owner = shard_of(apk.md5, 2)
+    assert call == (owner, "POST", "/v1/submit", body, apk.md5)
+    assert call[3] is body  # the very bytes, not a re-encoding
+    assert fleet.services[owner].queue.depth == 1
+
+
+def test_front_door_forged_md5_gets_the_shards_400(fleet, generator):
+    """A forged md5 is routed on, then rejected by the shard's check."""
+    api = RouterApi(fleet)
+    real, other = generator.sample_app(), generator.sample_app()
+    while shard_of(other.md5, 2) == shard_of(real.md5, 2):
+        other = generator.sample_app()
+    forged = apk_to_dict(real)
+    forged["md5"] = other.md5  # claims the other shard's md5
+    body = json.dumps({"apk": forged}).encode()
+    response = api.submit(body)
+    assert response.status == 400
+    err = json.loads(response.text)["error"]
+    assert err["code"] == "bad_request" and "corrupt" in err["message"]
+    (call,) = fleet.calls
+    assert call[0] == shard_of(other.md5, 2) and call[3] is body
+    assert all(s.queue.depth == 0 for s in fleet.services)
+
+
+def test_front_door_routes_a_body_without_md5(fleet, generator):
+    api = RouterApi(fleet)
+    apk = generator.sample_app()
+    wire = apk_to_dict(apk)
+    wire.pop("md5")
+    body = json.dumps(wire).encode()
+    response = api.submit(body)
+    assert response.status == 202
+    (call,) = fleet.calls
+    assert call == (shard_of(apk.md5, 2), "POST", "/v1/submit", body,
+                    apk.md5)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"apk": 5},
+        {"apk": [1]},
+        {"apk": "x"},
+        {"lane": 7},
+        {"lane": [1]},
+        {"lane": None},
+        {"lane": True},
+    ],
+    ids=lambda p: json.dumps(p),
+)
+def test_front_door_malformed_envelopes_are_400(fleet, generator, payload):
+    """Rejected at the front door: nothing is proxied."""
+    body = {"apk": apk_to_dict(generator.sample_app()), "lane": "bulk"}
+    body.update(payload)
+    response = RouterApi(fleet).submit(json.dumps(body).encode())
+    assert response.status == 400
+    assert response.payload["error"]["code"] == "bad_request"
+    assert fleet.calls == []
+
+
+def test_front_door_malformed_md5_is_decoded_and_rejected(fleet, generator):
+    wire = apk_to_dict(generator.sample_app())
+    wire["md5"] = wire["md5"].upper()
+    response = RouterApi(fleet).submit(json.dumps(wire).encode())
+    assert response.status == 400
+    assert "corrupt" in response.payload["error"]["message"]
+    assert fleet.calls == []
