@@ -43,7 +43,7 @@ class MonthlyRecord:
             candidate (None when no ``model_gate`` is installed and the
             swap was unconditional).  Carries ``promoted``,
             ``agreement``, and ``reason`` when a
-            :class:`repro.serve.evolution.ShadowPromotionGate` is wired
+            :class:`repro.serve.registry.ShadowPromotionGate` is wired
             in.
         retrained: whether the loop's retrain policy fired this month
             (always True for the legacy policy-less loop; also None
@@ -80,7 +80,7 @@ class EvolutionLoop:
             discarded and the previous model keeps serving — monthly
             evolution becomes promote-on-threshold instead of an
             unconditional replace (see
-            :class:`repro.serve.evolution.ShadowPromotionGate`).
+            :class:`repro.serve.registry.ShadowPromotionGate`).
             ``None`` preserves the historical unconditional swap.
         retrain_policy: optional :class:`~repro.drift.policy.RetrainPolicy`
             deciding *whether* each month retrains at all.  ``None``
@@ -240,22 +240,18 @@ class EvolutionLoop:
             self.retrain_count += 1
             if self.retrain_policy is not None:
                 self.retrain_policy.record_retrain(batch.month_index)
-            if self.model_gate is None:
-                self.checker = candidate
-                self._rebaseline_monitors()
-            else:
+            if self.model_gate is not None:
                 # The month's study observations are the pool tail
                 # (eviction drops from the front), a ready-made replay
                 # set for shadow agreement scoring.
-                month_obs = self._pool_obs[-len(batch.corpus):]
                 promotion = self.model_gate(
                     candidate,
-                    month_obs,
+                    self._pool_obs[-len(batch.corpus):],
                     metadata={"month": batch.month_index},
                 )
-                if getattr(promotion, "promoted", True):
-                    self.checker = candidate
-                    self._rebaseline_monitors()
+            if getattr(promotion, "promoted", True):
+                self.checker = candidate
+                self._rebaseline_monitors()
         record = MonthlyRecord(
             month=batch.month_index,
             report=report,

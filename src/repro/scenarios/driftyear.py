@@ -158,28 +158,24 @@ class DriftYearRunner:
         models.publish(
             checker, metadata={"source": "drift-year"}, activate=True
         )
-        service = OnlineVettingService(
+        report = DriftYearReport()
+        with OnlineVettingService(
             models,
             spool_dir=self.workdir / "spool",
             workers=self.workers,
             batch_size=self.batch_size,
             metrics=models.metrics,
             drift_monitors=True,
-        ).start()
-        report = DriftYearReport()
-        try:
+        ) as service:
             for day in range(self.days):
                 report.days.append(self._run_day(day, service))
-            health = service.healthz()
-            report.drift = health.get("drift")
+            report.drift = service.healthz().get("drift")
             if report.drift is not None:
                 report.alarms_total = int(report.drift["alarms_total"])
             report.events = [
                 {"day": e.day, "kind": e.kind, "detail": e.detail}
                 for e in self.market.events
             ]
-        finally:
-            service.close()
         return report
 
     def _run_day(

@@ -39,7 +39,7 @@ from repro.scenarios.campaign import Campaign
 from repro.scenarios.report import CampaignReport, DayReport, percentile
 from repro.scenarios.traffic import PlannedSubmission, plan_traffic
 from repro.serve.queue import QueueFullError
-from repro.serve.registry import ModelRegistry
+from repro.serve.registry import ModelRegistry, PromotionPolicy
 from repro.serve.service import OnlineVettingService
 from repro.serve.shard import ShardRouter, ShardUnavailableError
 
@@ -47,79 +47,6 @@ __all__ = ["CampaignRunner", "run_campaign"]
 
 #: Statuses that mean a submission has left the queue for good.
 _TERMINAL = ("done", "failed")
-
-
-class _ServiceTarget:
-    """Single in-process service behind the common target interface."""
-
-    def __init__(self, runner: "CampaignRunner", models: ModelRegistry):
-        self.models = models
-        self.service = OnlineVettingService(
-            models,
-            spool_dir=runner.workdir / "spool",
-            workers=runner.workers,
-            batch_size=runner.batch_size,
-            max_depth=runner.max_depth,
-            metrics=models.metrics,
-        )
-        self.service.start()
-
-    def submit(self, apk, lane: str) -> dict:
-        return self.service.submit(apk, lane)
-
-    def result(self, md5: str) -> dict:
-        return self.service.result(md5)
-
-    def queue_depth(self) -> int:
-        return self.service.queue.depth
-
-    def rollout(self, version: int) -> None:
-        self.models.activate(version)  # hot swap; leases serialize it
-
-    def close(self) -> None:
-        self.service.close()
-
-
-class _RouterTarget:
-    """Multi-process shard router behind the common target interface."""
-
-    def __init__(self, runner: "CampaignRunner", models: ModelRegistry):
-        self.models = models
-        self.router = ShardRouter(
-            model_dir=models.root,
-            spool_dir=runner.workdir / "spool",
-            n_shards=runner.shards,
-            workers=runner.workers,
-            batch_size=runner.batch_size,
-            max_depth=runner.max_depth,
-            mp_start=runner.mp_start,
-        )
-        self.router.start()
-
-    def submit(self, apk, lane: str) -> dict:
-        return self.router.submit(apk, lane)
-
-    def result(self, md5: str) -> dict:
-        return self.router.result(md5)
-
-    def queue_depth(self) -> int:
-        return int(self.router.healthz().get("queue_depth", 0))
-
-    def rollout(self, version: int) -> None:
-        """Rolling restart: shard workers pin their model at startup.
-
-        Each worker process read the manifest when it spawned, so a
-        newly activated version reaches the fleet one shard at a time —
-        kill, WAL replay, restart — exactly the operational move the
-        shard tests pin.
-        """
-        self.models.activate(version)
-        for shard_id in range(self.router.n_shards):
-            self.router.kill_shard(shard_id)
-            self.router.restart_shard(shard_id)
-
-    def close(self) -> None:
-        self.router.stop()
 
 
 class CampaignRunner:
@@ -227,24 +154,33 @@ class CampaignRunner:
         report = CampaignReport(
             campaign=campaign.to_dict(), shards=self.shards
         )
-        target = (
-            _RouterTarget(self, models)
+        config = dict(
+            spool_dir=self.workdir / "spool",
+            workers=self.workers,
+            batch_size=self.batch_size,
+            max_depth=self.max_depth,
+        )
+        backend = (
+            ShardRouter(
+                models.root,
+                n_shards=self.shards,
+                mp_start=self.mp_start,
+                **config,
+            )
             if self.shards >= 2
-            else _ServiceTarget(self, models)
+            else OnlineVettingService(models, metrics=models.metrics, **config)
         )
         history: list[PlannedSubmission] = []
-        try:
+        with backend:
             for day, planned in enumerate(schedule):
-                day_report = self._run_day(day, planned, target, report)
+                day_report = self._run_day(day, planned, backend, report)
                 report.days.append(day_report)
                 history.extend(planned)
                 if campaign.retrain_day == day:
                     decision = self._retrain(
-                        day, history, env, models, target, report
+                        day, history, env, models, backend, report
                     )
                     report.evolution.append(decision)
-        finally:
-            target.close()
         return report
 
     # -- one day -------------------------------------------------------
@@ -253,7 +189,7 @@ class CampaignRunner:
         self,
         day: int,
         planned: list[PlannedSubmission],
-        target,
+        backend,
         report: CampaignReport,
     ) -> DayReport:
         day_report = DayReport(day=day, n_submitted=len(planned))
@@ -270,14 +206,14 @@ class CampaignRunner:
 
         accepted_at: dict[str, float] = {}
         for sub in fresh:
-            self._submit_with_backoff(sub, target, day_report)
+            self._submit_with_backoff(sub, backend, day_report)
             accepted_at[sub.apk.md5] = time.perf_counter()
             day_report.peak_queue_depth = max(
-                day_report.peak_queue_depth, target.queue_depth()
+                day_report.peak_queue_depth, backend.healthz()["queue_depth"]
             )
 
         outcomes = self._await_verdicts(
-            [sub.apk.md5 for sub in fresh], target, day_report, accepted_at,
+            [sub.apk.md5 for sub in fresh], backend, day_report, accepted_at,
             report,
         )
 
@@ -325,7 +261,7 @@ class CampaignRunner:
         return day_report
 
     def _submit_with_backoff(
-        self, sub: PlannedSubmission, target, day_report: DayReport
+        self, sub: PlannedSubmission, backend, day_report: DayReport
     ) -> None:
         """Submit one app, absorbing 429/503 backpressure via retry.
 
@@ -337,7 +273,7 @@ class CampaignRunner:
         backoff = 0.05
         while True:
             try:
-                target.submit(sub.apk, sub.lane)
+                backend.submit(sub.apk, sub.lane)
                 return
             except QueueFullError:
                 day_report.rejected_429 += 1
@@ -354,7 +290,7 @@ class CampaignRunner:
     def _await_verdicts(
         self,
         md5s: list[str],
-        target,
+        backend,
         day_report: DayReport,
         accepted_at: dict[str, float],
         report: CampaignReport,
@@ -370,11 +306,11 @@ class CampaignRunner:
                     "submissions never reached a terminal outcome"
                 )
             day_report.peak_queue_depth = max(
-                day_report.peak_queue_depth, target.queue_depth()
+                day_report.peak_queue_depth, backend.healthz()["queue_depth"]
             )
             still = []
             for md5 in outstanding:
-                outcome = target.result(md5)
+                outcome = backend.result(md5)
                 if outcome.get("status") in _TERMINAL:
                     outcomes[md5] = outcome
                     report.latencies_s[md5] = (
@@ -395,7 +331,7 @@ class CampaignRunner:
         history: list[PlannedSubmission],
         env: DeviceEnvironment,
         models: ModelRegistry,
-        target,
+        backend,
         report: CampaignReport,
     ) -> dict:
         """Fold triage feedback into a candidate; gate; maybe roll out."""
@@ -473,16 +409,20 @@ class CampaignRunner:
             "active_f1": active_f1,
             "candidate_f1": candidate_f1,
         }
-        if candidate_f1 >= active_f1:
-            version = models.publish(
-                candidate,
-                metadata={"campaign": campaign.name, "feedback_day": day},
-            ).version
-            target.rollout(version)
-            decision["decision"] = "promoted"
+        version = models.publish(
+            candidate,
+            metadata={"campaign": campaign.name, "feedback_day": day},
+        ).version
+        models.stage_shadow(version)
+        models.record_shadow_results(active_pred == candidate_pred)
+        promoted = models.promote(
+            PromotionPolicy(metric="f1", min_samples=0),
+            f1=(active_f1, candidate_f1),
+            rollout=backend.roll_model,
+        ).promoted
+        decision["decision"] = "promoted" if promoted else "rejected"
+        if promoted:
             decision["model_version"] = version
-        else:
-            decision["decision"] = "rejected"
         return decision
 
 

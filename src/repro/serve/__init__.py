@@ -7,13 +7,10 @@ monthly without downtime (§6).  This package is that serving layer:
 * :class:`SubmissionQueue` — write-ahead-logged, priority-laned,
   depth-bounded admission queue; a killed service replays its WAL on
   restart with no loss and no duplicate scoring.
-* :class:`ModelRegistry` — versioned, hash-verified model artifacts
-  with RW-locked hot-swap and shadow scoring of candidates against
-  live traffic.
-* :class:`RulesetRegistry` — the same treatment for behavior
-  rulesets: versioned hash-verified JSON artifacts, atomic hot swap
-  under the RW lock, pushed over ``POST /v1/admin/ruleset`` and rolled
-  across every shard without dropping a request.
+* :class:`ModelRegistry` / :class:`RulesetRegistry` — one versioned,
+  hash-verified artifact store with two codecs (pickled checker, ruleset
+  JSON) and an RW-locked hot swap; models add shadow scoring and one
+  promoter (:class:`PromotionPolicy`), rulesets the bundled version 0.
 * :class:`ShadowPromotionGate` — turns
   :meth:`~repro.core.evolution.EvolutionLoop.run_month` retrains into
   promote-on-threshold decisions.
@@ -33,7 +30,6 @@ sharded topology, and API reference.
 """
 
 from repro.serve.codec import apk_from_dict, apk_to_dict
-from repro.serve.evolution import ShadowPromotionGate
 from repro.serve.http import (
     API_PREFIX,
     ERROR_CODES,
@@ -54,17 +50,16 @@ from repro.serve.queue import (
     shard_of,
 )
 from repro.serve.registry import (
+    BUILTIN_RULESET_VERSION,
     IntegrityError,
     ModelRegistry,
     ModelVersion,
     PromotionDecision,
-    RWLock,
-    ScoredSubmission,
-)
-from repro.serve.rulesets import (
-    BUILTIN_RULESET_VERSION,
+    PromotionPolicy,
     RulesetRegistry,
     RulesetVersion,
+    RWLock,
+    ShadowPromotionGate,
 )
 from repro.serve.service import DrainStatus, OnlineVettingService
 from repro.serve.shard import (
@@ -88,11 +83,11 @@ __all__ = [
     "ModelVersion",
     "OnlineVettingService",
     "PromotionDecision",
+    "PromotionPolicy",
     "QueueFullError",
     "RWLock",
     "RulesetRegistry",
     "RulesetVersion",
-    "ScoredSubmission",
     "ShadowPromotionGate",
     "ShardRouter",
     "ShardUnavailableError",

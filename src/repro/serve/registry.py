@@ -1,19 +1,18 @@
-"""Versioned model registry: persisted artifacts, hot-swap, shadow scoring.
+"""One versioned artifact store for models and behavior rulesets.
 
-APICHECKER retrains monthly (§5.3) and the deployed service swaps the
-new model in without downtime.  This module makes that swap safe:
+The deployed service swaps a monthly retrained model (§5.3) and a
+pushed behavior ruleset in without downtime.  Both run on one
+mechanism, :class:`ArtifactStore`, whose two subclasses are its codecs
+(a pickled :class:`ApiChecker`, ruleset JSON): artifacts and the
+manifest are written via temp file + rename, every load checks the
+artifact's SHA-256 against the manifest, the active version is swapped
+atomically under a reader/writer lock (every micro-batch runs under one
+read lease), and reopening a root restores the live versions.
 
-* every published model is pickled to a versioned artifact file with a
-  SHA-256 recorded in a ``manifest.json``; loads verify the hash, so a
-  corrupted or tampered artifact can never be activated;
-* the active model is replaced atomically under a reader/writer lock —
-  every request scores under a read lease, so one request can never see
-  two model versions, and a swap waits for in-flight scores;
-* a **shadow** candidate scores the same live traffic in parallel with
-  the active model; its verdict agreement is tracked, and promotion is
-  a threshold decision on that agreement rather than an unconditional
-  replace.  Candidates that disagree too much are rolled back and the
-  decision is recorded in the manifest.
+:class:`ModelRegistry` adds a **shadow** candidate scored against the
+same traffic and one promoter, :meth:`ModelRegistry.promote`, whose
+rule is data (:class:`PromotionPolicy`).  :class:`RulesetRegistry` adds
+the bundled ruleset as version 0 and an in-memory mode (``root=None``).
 """
 
 from __future__ import annotations
@@ -24,28 +23,41 @@ import pickle
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Any, Callable, Sequence
 
 from repro.core.checker import ApiChecker, VetVerdict
 from repro.core.features import AppObservation
 from repro.obs import MetricsRegistry
+from repro.rules.builtin import builtin_ruleset
+from repro.rules.spec import RuleSpec, load_ruleset
 
 __all__ = [
+    "ArtifactStore",
+    "ArtifactVersion",
+    "BUILTIN_RULESET_VERSION",
     "IntegrityError",
+    "ModelRegistry",
     "ModelVersion",
     "PromotionDecision",
+    "PromotionPolicy",
     "RWLock",
-    "ModelRegistry",
-    "ScoredSubmission",
+    "RulesetRegistry",
+    "RulesetVersion",
+    "ShadowPromotionGate",
+    "score_with_shadow",
 ]
 
-#: Manifest schema marker.
+#: Manifest schema marker (both manifests).
 MANIFEST_VERSION = 1
+
+#: The implicit version of the bundled starter ruleset.
+BUILTIN_RULESET_VERSION = 0
 
 
 class IntegrityError(RuntimeError):
-    """A model artifact failed its hash check."""
+    """An artifact failed its hash check."""
 
 
 class RWLock:
@@ -90,46 +102,28 @@ class RWLock:
             self._writer = False
             self._cond.notify_all()
 
-    class _Lease:
-        __slots__ = ("_lock", "_write")
+    @contextmanager
+    def read(self):
+        self.acquire_read()
+        try:
+            yield
+        finally:
+            self.release_read()
 
-        def __init__(self, lock: "RWLock", write: bool):
-            self._lock = lock
-            self._write = write
-
-        def __enter__(self):
-            if self._write:
-                self._lock.acquire_write()
-            else:
-                self._lock.acquire_read()
-            return self
-
-        def __exit__(self, *exc):
-            if self._write:
-                self._lock.release_write()
-            else:
-                self._lock.release_read()
-
-    def read(self) -> "_Lease":
-        return self._Lease(self, write=False)
-
-    def write(self) -> "_Lease":
-        return self._Lease(self, write=True)
+    @contextmanager
+    def write(self):
+        self.acquire_write()
+        try:
+            yield
+        finally:
+            self.release_write()
 
 
 @dataclass
-class ModelVersion:
-    """One published model artifact.
-
-    Attributes:
-        version: 1-based registry version number.
-        filename: artifact file name inside the registry root.
-        sha256: content hash of the pickled artifact.
-        state: ``active`` / ``shadow`` / ``archived`` / ``rejected``.
-        metadata: free-form provenance (e.g. evolution month, key-API
-            count).
-        created: publication wall time (epoch seconds).
-    """
+class ArtifactVersion:
+    """One published artifact: a manifest record.  ``state`` is
+    ``active`` / ``shadow`` / ``archived`` / ``rejected``; ``n_rules``
+    is recorded for rulesets only."""
 
     version: int
     filename: str
@@ -137,27 +131,195 @@ class ModelVersion:
     state: str = "archived"
     metadata: dict = field(default_factory=dict)
     created: float = 0.0
+    n_rules: int | None = None
 
     def to_dict(self) -> dict:
+        return {k: v for k, v in asdict(self).items() if v is not None}
+
+
+#: The record types of the two registries are one type.
+ModelVersion = RulesetVersion = ArtifactVersion
+
+
+class ArtifactStore:
+    """Versioned, hash-verified artifacts with one atomically swapped
+    active version.  ``root=None`` keeps artifacts and manifest in
+    memory; ``active`` is what serves before anything is activated.
+
+    A subclass is the codec: ``kind`` names errors and metrics,
+    ``manifest`` and ``filename`` (formatted with the version) the
+    files, ``swap_counter`` the activation counter; ``encode(source) ->
+    (bytes, extra record fields)`` raises on an invalid source before
+    anything is written, and ``decode(bytes)`` inverts it.
+    """
+
+    kind: str
+    manifest: str
+    filename: str
+    swap_counter: str
+
+    def __init__(
+        self,
+        root: str | Path | None,
+        metrics: MetricsRegistry | None = None,
+        active: tuple[int, Any] | None = None,
+    ):
+        self.root = Path(root) if root is not None else None
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._lock = RWLock()
+        self._mutate = threading.Lock()  # serializes manifest writes
+        self.versions: dict[int, ArtifactVersion] = {}
+        self._blobs: dict[int, bytes] = {}  # artifacts when root is None
+        self._active = active
+        if self.root is not None:
+            self.root.mkdir(parents=True, exist_ok=True)
+            manifest = self.root / self.manifest
+            if manifest.exists():
+                payload = json.loads(manifest.read_text(encoding="utf-8"))
+                if payload.get("v") != MANIFEST_VERSION:
+                    raise ValueError(
+                        f"unsupported {self.kind} manifest version: "
+                        f"{payload.get('v')!r}"
+                    )
+                self._restore(payload)
+        self._publish_gauges()
+
+    def _manifest_payload(self) -> dict:
         return {
-            "version": self.version,
-            "filename": self.filename,
-            "sha256": self.sha256,
-            "state": self.state,
-            "metadata": dict(self.metadata),
-            "created": self.created,
+            "v": MANIFEST_VERSION,
+            "versions": [
+                self.versions[v].to_dict() for v in sorted(self.versions)
+            ],
         }
 
-    @classmethod
-    def from_dict(cls, record: dict) -> "ModelVersion":
-        return cls(
-            version=int(record["version"]),
-            filename=record["filename"],
-            sha256=record["sha256"],
-            state=record.get("state", "archived"),
-            metadata=dict(record.get("metadata", {})),
-            created=float(record.get("created", 0.0)),
+    def _save_manifest(self) -> None:
+        """Rewrite the manifest (tmp + rename); callers hold ``_mutate``."""
+        if self.root is None:
+            return
+        path = self.root / self.manifest
+        tmp = path.with_suffix(".json.tmp")
+        tmp.write_text(
+            json.dumps(self._manifest_payload(), indent=2, sort_keys=True),
+            encoding="utf-8",
         )
+        tmp.replace(path)
+
+    def _restore(self, payload: dict) -> None:
+        for record in payload.get("versions", []):
+            av = ArtifactVersion(**record)
+            self.versions[av.version] = av
+        for av in self.versions.values():
+            if av.state == "active":
+                self._active = (av.version, self.load(av.version))
+
+    def publish(
+        self, source, metadata: dict | None = None, activate: bool = False
+    ) -> ArtifactVersion:
+        """Persist ``source`` as a new version (never half-written: the
+        source is validated first, the artifact lands by rename)."""
+        blob, extra = self.encode(source)
+        with self._mutate:
+            version = max(self.versions, default=0) + 1
+            filename = self.filename.format(version)
+            if self.root is None:
+                self._blobs[version] = blob
+            else:
+                tmp = self.root / (filename + ".tmp")
+                tmp.write_bytes(blob)
+                tmp.replace(self.root / filename)
+            av = ArtifactVersion(
+                version=version,
+                filename=filename,
+                sha256=hashlib.sha256(blob).hexdigest(),
+                metadata=dict(metadata or {}),
+                created=time.time(),
+                **extra,
+            )
+            self.versions[version] = av
+            self._save_manifest()
+            self.metrics.inc(f"serve_{self.kind}s_published_total")
+        if activate:
+            self.activate(version)
+        return av
+
+    def load(self, version: int):
+        """Decode one version, verifying its recorded hash."""
+        try:
+            av = self.versions[version]
+        except KeyError:
+            raise KeyError(
+                f"unknown {self.kind} version {version}"
+            ) from None
+        if self.root is None:
+            blob = self._blobs[version]
+        else:
+            blob = (self.root / av.filename).read_bytes()
+        digest = hashlib.sha256(blob).hexdigest()
+        if digest != av.sha256:
+            raise IntegrityError(
+                f"{self.kind} v{version} artifact hash mismatch: "
+                f"manifest {av.sha256[:12]}…, file {digest[:12]}…"
+            )
+        return self.decode(blob)
+
+    def activate(self, version: int) -> None:
+        """Atomically make ``version`` the active artifact.
+
+        It is loaded and hash-verified *before* the write lock is
+        taken, so the swap is a pointer exchange: in-flight leases
+        finish on the old version, new leases see the new one.
+        """
+        live = self.load(version)
+        with self._mutate:
+            with self._lock.write():
+                previous = self._active
+                self._active = (version, live)
+                self._on_activate(version)
+            if previous is not None and previous[0] in self.versions:
+                prior = self.versions[previous[0]]
+                if prior.state == "active":
+                    prior.state = "archived"
+            if version in self.versions:
+                self.versions[version].state = "active"
+            self._save_manifest()
+            self.metrics.inc(self.swap_counter)
+            self._publish_gauges()
+
+    def _on_activate(self, version: int) -> None:
+        """Extra swap work, under the write lock."""
+
+    @property
+    def active_version(self) -> int | None:
+        with self._lock.read():
+            return self._active[0] if self._active is not None else None
+
+    def active(self):
+        """The live artifact (raises when none has been activated)."""
+        with self._lock.read():
+            return self._leased()[1]
+
+    @contextmanager
+    def lease(self):
+        """Read lease over one consistent registry state; a concurrent
+        :meth:`activate` waits for it.  Do not call tally- or
+        manifest-mutating methods inside it (they take the mutate lock,
+        inverting the lock order with a waiting writer)."""
+        self._lock.acquire_read()
+        try:
+            yield self._leased()
+        finally:
+            self._lock.release_read()
+
+    def _leased(self):
+        if self._active is None:
+            raise RuntimeError(f"no active {self.kind} in the registry")
+        return self._active
+
+    def _publish_gauges(self) -> None:
+        kind = self.kind
+        active = self._active[0] if self._active is not None else 0
+        self.metrics.set_gauge(f"serve_active_{kind}_version", active)
+        self.metrics.set_gauge(f"serve_{kind}s_published", len(self.versions))
 
 
 @dataclass(frozen=True)
@@ -180,382 +342,313 @@ class PromotionDecision:
     reason: str
 
     def to_dict(self) -> dict:
-        return {
-            "candidate_version": self.candidate_version,
-            "promoted": self.promoted,
-            "agreement": self.agreement,
-            "n_scored": self.n_scored,
-            "reason": self.reason,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
-class ScoredSubmission:
-    """One observation scored under a single read lease.
+class PromotionPolicy:
+    """When a staged candidate replaces the active model.
 
-    Attributes:
-        verdict: the **active** model's verdict (the served answer).
-        model_version: active version that produced it.
-        shadow_verdict: candidate's verdict for the same observation
-            (None when no shadow is staged).
-        shadow_version: candidate version, when staged.
+    ``metric="agreement"``: its verdict agreement with the active model
+    must reach ``min_agreement``.  ``metric="f1"``: its F1 on labelled
+    feedback must reach the active model's (a tie promotes).  Below
+    ``min_samples`` scored submissions nothing is decided.
     """
 
-    verdict: VetVerdict
-    model_version: int
-    shadow_verdict: VetVerdict | None = None
-    shadow_version: int | None = None
-
-    @property
-    def agreed(self) -> bool | None:
-        if self.shadow_verdict is None:
-            return None
-        return self.shadow_verdict.malicious == self.verdict.malicious
+    metric: str = "agreement"
+    min_agreement: float = 0.95
+    min_samples: int = 20
 
 
-class ModelRegistry:
+def decide(
+    policy: PromotionPolicy,
+    candidate_version: int,
+    n_scored: int,
+    agreement: float,
+    f1: tuple[float, float] | None = None,
+) -> PromotionDecision:
+    """Apply ``policy``; ``f1`` is ``(active_f1, candidate_f1)``."""
+    if policy.metric == "agreement":
+        name, value, bar = "agreement", agreement, policy.min_agreement
+    elif policy.metric == "f1" and f1 is not None:
+        name, (bar, value) = "F1", f1
+    else:
+        raise ValueError(f"cannot decide {policy!r} with f1={f1!r}")
+    if n_scored < policy.min_samples:
+        promoted = False
+        reason = (
+            f"insufficient shadow sample: {n_scored} < {policy.min_samples}"
+        )
+    else:
+        promoted = value >= bar
+        reason = (
+            f"{name} {value:.3f} {'>=' if promoted else '<'} {bar:.3f} "
+            f"over {n_scored} submissions"
+        ) + ("" if promoted else "; keeping active model")
+    return PromotionDecision(
+        candidate_version, promoted, agreement, n_scored, reason
+    )
+
+
+def score_with_shadow(
+    active: ApiChecker,
+    shadow: tuple[int, ApiChecker] | None,
+    observations: Sequence[AppObservation],
+    **verdict_args,
+) -> tuple[list[VetVerdict], list[bool] | None]:
+    """Active verdicts (``verdict_args`` go to the active model's
+    ``verdicts_from_observations``) plus per-app shadow agreement, None
+    without a shadow: one scoring call per model.  Takes no lock; call
+    it under a :meth:`ModelRegistry.lease` you hold."""
+    verdicts = active.verdicts_from_observations(observations, **verdict_args)
+    if shadow is None:
+        return verdicts, None
+    shadow_verdicts = shadow[1].verdicts_from_observations(observations)
+    return verdicts, [
+        s.malicious == v.malicious for s, v in zip(shadow_verdicts, verdicts)
+    ]
+
+
+class ModelRegistry(ArtifactStore):
     """Disk-backed registry of :class:`ApiChecker` artifacts.
 
-    Args:
-        root: directory holding artifacts and ``manifest.json``
-            (created on demand).  Reopening a registry on an existing
-            root restores the manifest and reloads the recorded active
-            (and shadow) models.
-        metrics: metrics registry for swap/shadow telemetry.
+    Reopening ``root`` restores the manifest (promotion decisions
+    included) and reloads the active and shadow models; ``metrics``
+    receives swap/shadow telemetry.
     """
 
+    kind, manifest, filename = "model", "manifest.json", "model_v{:04d}.pkl"
+    swap_counter = "serve_model_swaps_total"
+    decode = staticmethod(pickle.loads)
+
     def __init__(
-        self,
-        root: str | Path,
-        metrics: MetricsRegistry | None = None,
+        self, root: str | Path, metrics: MetricsRegistry | None = None
     ):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._manifest_path = self.root / "manifest.json"
-        self._lock = RWLock()
-        self._mutate = threading.Lock()  # serializes publish/manifest writes
-        self.versions: dict[int, ModelVersion] = {}
         self.decisions: list[PromotionDecision] = []
-        self._active: tuple[int, ApiChecker] | None = None
         self._shadow: tuple[int, ApiChecker] | None = None
-        # Live shadow agreement tally for the currently staged candidate.
-        self._shadow_agree = 0
-        self._shadow_scored = 0
-        if self._manifest_path.exists():
-            self._restore()
+        # (n_scored, n_agree) for the currently staged candidate.
+        self._tally = (0, 0)
+        super().__init__(root, metrics)
 
-    # ------------------------------------------------------------------
-    # Manifest persistence
-    # ------------------------------------------------------------------
+    @staticmethod
+    def encode(checker: ApiChecker) -> tuple[bytes, dict]:
+        checker._require_fitted()
+        return pickle.dumps(checker, protocol=pickle.HIGHEST_PROTOCOL), {}
 
-    def _save_manifest(self) -> None:
-        payload = {
-            "v": MANIFEST_VERSION,
-            "versions": [
-                self.versions[v].to_dict() for v in sorted(self.versions)
-            ],
-            "decisions": [d.to_dict() for d in self.decisions],
-        }
-        tmp = self._manifest_path.with_suffix(".json.tmp")
-        tmp.write_text(
-            json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8"
-        )
-        tmp.replace(self._manifest_path)
+    def _manifest_payload(self) -> dict:
+        payload = super()._manifest_payload()
+        payload["decisions"] = [d.to_dict() for d in self.decisions]
+        return payload
 
-    def _restore(self) -> None:
-        payload = json.loads(self._manifest_path.read_text(encoding="utf-8"))
-        if payload.get("v") != MANIFEST_VERSION:
-            raise ValueError(
-                f"unsupported manifest version: {payload.get('v')!r}"
-            )
-        for record in payload.get("versions", []):
-            mv = ModelVersion.from_dict(record)
-            self.versions[mv.version] = mv
+    def _restore(self, payload: dict) -> None:
+        super()._restore(payload)
         self.decisions = [
             PromotionDecision(**d) for d in payload.get("decisions", [])
         ]
         for mv in self.versions.values():
-            if mv.state == "active":
-                self._active = (mv.version, self.load(mv.version))
-            elif mv.state == "shadow":
+            if mv.state == "shadow":
                 self._shadow = (mv.version, self.load(mv.version))
-        self._publish_gauges()
 
-    # ------------------------------------------------------------------
-    # Artifact lifecycle
-    # ------------------------------------------------------------------
+    def _on_activate(self, version: int) -> None:
+        if self._shadow is not None and self._shadow[0] == version:
+            self._shadow = None
+            self._tally = (0, 0)
 
-    def publish(
-        self,
-        checker: ApiChecker,
-        metadata: dict | None = None,
-        activate: bool = False,
-    ) -> ModelVersion:
-        """Persist a fitted model as a new version.
+    active_checker = ArtifactStore.active
 
-        The artifact is written to a temp file and renamed into place,
-        so a crash mid-publish never leaves a half-written artifact
-        behind a manifest entry.
-        """
-        checker._require_fitted()
-        with self._mutate:
-            version = max(self.versions, default=0) + 1
-            filename = f"model_v{version:04d}.pkl"
-            blob = pickle.dumps(checker, protocol=pickle.HIGHEST_PROTOCOL)
-            digest = hashlib.sha256(blob).hexdigest()
-            tmp = self.root / (filename + ".tmp")
-            tmp.write_bytes(blob)
-            tmp.replace(self.root / filename)
-            mv = ModelVersion(
-                version=version,
-                filename=filename,
-                sha256=digest,
-                state="archived",
-                metadata=dict(metadata or {}),
-                created=time.time(),
-            )
-            self.versions[version] = mv
-            self._save_manifest()
-            self.metrics.inc("serve_models_published_total")
-        if activate:
-            self.activate(version)
-        return mv
+    def _leased(self):
+        """``(version, active, shadow)`` for :meth:`lease`."""
+        return (*super()._leased(), self._shadow)
 
-    def load(self, version: int) -> ApiChecker:
-        """Unpickle one version, verifying its recorded hash."""
-        mv = self._version(version)
-        blob = (self.root / mv.filename).read_bytes()
-        digest = hashlib.sha256(blob).hexdigest()
-        if digest != mv.sha256:
-            raise IntegrityError(
-                f"model v{version} artifact hash mismatch: "
-                f"manifest {mv.sha256[:12]}…, file {digest[:12]}…"
-            )
-        return pickle.loads(blob)
-
-    def _version(self, version: int) -> ModelVersion:
-        try:
-            return self.versions[version]
-        except KeyError:
-            raise KeyError(f"unknown model version {version}") from None
-
-    # ------------------------------------------------------------------
-    # Hot swap + shadow staging
-    # ------------------------------------------------------------------
-
-    def activate(self, version: int) -> None:
-        """Atomically make ``version`` the active model.
-
-        The artifact is loaded and hash-verified *before* the write
-        lock is taken, so the swap's critical section is a pointer
-        exchange — in-flight read leases finish, the swap happens, new
-        leases see the new model.
-        """
-        checker = self.load(version)
-        with self._mutate:
-            with self._lock.write():
-                previous = self._active
-                self._active = (version, checker)
-                if self._shadow is not None and self._shadow[0] == version:
-                    self._shadow = None
-                    self._reset_shadow_tally()
-            if previous is not None and previous[0] in self.versions:
-                prior = self.versions[previous[0]]
-                if prior.state == "active":
-                    prior.state = "archived"
-            self.versions[version].state = "active"
-            self._save_manifest()
-            self.metrics.inc("serve_model_swaps_total")
-            self._publish_gauges()
+    def _publish_gauges(self) -> None:
+        super()._publish_gauges()
+        shadow = self._shadow[0] if self._shadow is not None else 0
+        self.metrics.set_gauge("serve_shadow_model_version", shadow)
 
     def stage_shadow(self, version: int) -> None:
         """Stage a candidate to shadow-score live traffic."""
-        checker = self.load(version)
-        with self._mutate:
-            with self._lock.write():
-                self._shadow = (version, checker)
-                self._reset_shadow_tally()
-            for mv in self.versions.values():
-                if mv.state == "shadow":
-                    mv.state = "archived"
-            self.versions[version].state = "shadow"
-            self._save_manifest()
-            self._publish_gauges()
+        self._set_shadow((version, self.load(version)))
 
     def clear_shadow(self, state: str = "archived") -> None:
+        self._set_shadow(None, state)
+
+    def _set_shadow(self, staged, state: str = "archived") -> None:
+        """Swap the staged shadow; the one it replaces goes to ``state``."""
         with self._mutate:
             with self._lock.write():
-                staged = self._shadow
-                self._shadow = None
-                self._reset_shadow_tally()
-            if staged is not None and staged[0] in self.versions:
-                self.versions[staged[0]].state = state
-                self._save_manifest()
+                previous, self._shadow = self._shadow, staged
+                self._tally = (0, 0)
+            if previous is not None and previous[0] in self.versions:
+                self.versions[previous[0]].state = state
+            if staged is not None:
+                self.versions[staged[0]].state = "shadow"
+            self._save_manifest()
             self._publish_gauges()
-
-    @property
-    def active_version(self) -> int | None:
-        with self._lock.read():
-            return self._active[0] if self._active is not None else None
 
     @property
     def shadow_version(self) -> int | None:
         with self._lock.read():
             return self._shadow[0] if self._shadow is not None else None
 
-    def active_checker(self) -> ApiChecker:
-        """The live model (raises when none has been activated)."""
-        with self._lock.read():
-            if self._active is None:
-                raise RuntimeError("no active model in the registry")
-            return self._active[1]
+    def score_batch(
+        self, observations: Sequence[AppObservation]
+    ) -> tuple[int, list[VetVerdict], int | None, list[bool] | None]:
+        """Score a batch under one lease, one call per model; returns
+        ``(version, verdicts, shadow_version, agreed)`` and folds
+        ``agreed`` into the shadow tally."""
+        with self.lease() as (version, active, shadow):
+            verdicts, agreed = score_with_shadow(active, shadow, observations)
+            shadow_version = shadow[0] if shadow is not None else None
+        self.metrics.inc("serve_scored_total", len(verdicts))
+        if agreed is not None:
+            self.record_shadow_results(agreed)
+        return version, verdicts, shadow_version, agreed
 
-    @contextmanager
-    def lease(self):
-        """Read lease over a consistent ``(version, active, shadow)``.
-
-        Everything a caller does with the yielded models — analysis,
-        scoring, shadow comparison — sees one registry state; a
-        concurrent :meth:`activate` waits for the lease to end.  Do not
-        call tally- or manifest-mutating registry methods inside the
-        lease (they take the mutate lock, inverting the lock order with
-        a waiting writer); use :meth:`record_shadow_result` after.
-        """
-        self._lock.acquire_read()
-        try:
-            if self._active is None:
-                raise RuntimeError("no active model in the registry")
-            yield self._active[0], self._active[1], self._shadow
-        finally:
-            self._lock.release_read()
-
-    # ------------------------------------------------------------------
-    # Scoring
-    # ------------------------------------------------------------------
-
-    def score(self, observation: AppObservation) -> ScoredSubmission:
-        """Score one observation under a single read lease.
-
-        The active and (when staged) shadow models are both resolved
-        and applied without releasing the lease, so a concurrent
-        promotion can never produce a mixed-version answer; the shadow
-        comparison feeds the live agreement tally.
-        """
-        with self.lease() as (active_version, active, shadow):
-            verdict = active.verdicts_from_observations([observation])[0]
-            shadow_verdict = None
-            shadow_version = None
-            if shadow is not None:
-                shadow_version, shadow_checker = shadow
-                shadow_verdict = shadow_checker.verdicts_from_observations(
-                    [observation]
-                )[0]
-        scored = ScoredSubmission(
-            verdict=verdict,
-            model_version=active_version,
-            shadow_verdict=shadow_verdict,
-            shadow_version=shadow_version,
-        )
-        self.metrics.inc("serve_scored_total")
-        if scored.agreed is not None:
-            self.record_shadow_result(scored.agreed)
-        return scored
-
-    def record_shadow_result(self, agreed: bool) -> None:
-        """Fold one active-vs-shadow verdict comparison into the tally."""
+    def record_shadow_results(self, agreed: Sequence[bool]) -> None:
+        """Fold active-vs-shadow verdict comparisons into the tally."""
+        n, n_agree = len(agreed), sum(map(bool, agreed))
         with self._mutate:
-            self._shadow_scored += 1
-            if agreed:
-                self._shadow_agree += 1
-        self.metrics.inc(
-            "serve_shadow_agree_total"
-            if agreed
-            else "serve_shadow_disagree_total"
-        )
+            scored, agree = self._tally
+            self._tally = (scored + n, agree + n_agree)
+        for outcome, count in (("agree", n_agree), ("disagree", n - n_agree)):
+            if count:
+                self.metrics.inc(f"serve_shadow_{outcome}_total", count)
         self.metrics.set_gauge(
             "serve_shadow_agreement_rate", self.shadow_agreement()[2]
         )
 
     def shadow_agreement(self) -> tuple[int, int, float]:
         """``(n_scored, n_agree, rate)`` for the staged candidate."""
-        n, agree = self._shadow_scored, self._shadow_agree
+        n, agree = self._tally
         return n, agree, (agree / n if n else 0.0)
 
-    def _reset_shadow_tally(self) -> None:
-        self._shadow_agree = 0
-        self._shadow_scored = 0
-
-    # ------------------------------------------------------------------
-    # Promotion policy
-    # ------------------------------------------------------------------
-
-    def promote_on_agreement(
+    def promote(
         self,
-        min_agreement: float = 0.95,
-        min_samples: int = 20,
+        policy: PromotionPolicy = PromotionPolicy(),
+        f1: tuple[float, float] | None = None,
+        rollout: Callable[[int], None] | None = None,
     ) -> PromotionDecision:
-        """Promote the staged shadow iff its live agreement clears the bar.
+        """Decide on the staged shadow from its tally (``f1`` is
+        ``(active_f1, candidate_f1)`` for the ``f1`` policy) and record
+        the decision in the manifest.
 
-        Below-threshold candidates are rejected (state ``rejected``)
-        and the active model keeps serving; either way the decision is
-        appended to the manifest for audit.
+        A promoted candidate goes live through ``rollout(version)``
+        (default :meth:`activate`; a shard tier passes its roll, which
+        activates through the manifest its workers read).  A rejected
+        one is marked ``rejected``; too small a sample leaves it staged.
         """
         with self._lock.read():
             if self._shadow is None:
                 raise RuntimeError("no shadow model staged")
             candidate = self._shadow[0]
-        n, agree, rate = self.shadow_agreement()
-        if n < min_samples:
-            decision = PromotionDecision(
-                candidate_version=candidate,
-                promoted=False,
-                agreement=rate,
-                n_scored=n,
-                reason=(
-                    f"insufficient shadow sample: {n} < {min_samples}"
-                ),
-            )
-        elif rate >= min_agreement:
-            decision = PromotionDecision(
-                candidate_version=candidate,
-                promoted=True,
-                agreement=rate,
-                n_scored=n,
-                reason=(
-                    f"agreement {rate:.3f} >= {min_agreement:.3f} "
-                    f"over {n} submissions"
-                ),
-            )
-        else:
-            decision = PromotionDecision(
-                candidate_version=candidate,
-                promoted=False,
-                agreement=rate,
-                n_scored=n,
-                reason=(
-                    f"agreement {rate:.3f} < {min_agreement:.3f} "
-                    f"over {n} submissions; keeping active model"
-                ),
-            )
-        if decision.promoted:
-            self.activate(candidate)
-            self.metrics.inc("serve_promotions_total")
-        else:
-            if n >= min_samples:
-                self.clear_shadow(state="rejected")
-                self.metrics.inc("serve_rollbacks_total")
+        n, _, rate = self.shadow_agreement()
+        decision = decide(policy, candidate, n, rate, f1)
         with self._mutate:
             self.decisions.append(decision)
             self._save_manifest()
+        if decision.promoted:
+            (rollout or self.activate)(candidate)
+            self.metrics.inc("serve_promotions_total")
+        elif n >= policy.min_samples:
+            self.clear_shadow(state="rejected")
+            self.metrics.inc("serve_rollbacks_total")
         return decision
 
-    # ------------------------------------------------------------------
-    # Telemetry
-    # ------------------------------------------------------------------
 
-    def _publish_gauges(self) -> None:
-        active = self._active[0] if self._active is not None else 0
-        shadow = self._shadow[0] if self._shadow is not None else 0
-        self.metrics.set_gauge("serve_active_model_version", active)
-        self.metrics.set_gauge("serve_shadow_model_version", shadow)
+class ShadowPromotionGate:
+    """The :class:`~repro.core.evolution.EvolutionLoop` ``model_gate``:
+    publish the candidate, stage it as the shadow, replay the month
+    (at most ``max_replay`` observations) as one batch per model, and
+    promote on agreement.  Returns the :class:`PromotionDecision`; the
+    registry must hold an active model (the loop's current one)::
+
+        registry.publish(loop.checker, activate=True)
+        loop.model_gate = ShadowPromotionGate(registry, min_agreement=0.9)
+    """
+
+    def __init__(
+        self,
+        registry: ModelRegistry,
+        min_agreement: float = 0.95,
+        min_samples: int = 20,
+        max_replay: int = 1000,
+    ):
+        if not 0.0 < min_agreement <= 1.0:
+            raise ValueError("min_agreement must be in (0, 1]")
+        if min_samples < 1:
+            raise ValueError("min_samples must be >= 1")
+        if max_replay < min_samples:
+            raise ValueError("max_replay must be >= min_samples")
+        self.registry = registry
+        self.policy = PromotionPolicy("agreement", min_agreement, min_samples)
+        self.max_replay = max_replay
+
+    def __call__(
+        self,
+        candidate: ApiChecker,
+        observations: list[AppObservation],
+        metadata: dict | None = None,
+    ) -> PromotionDecision:
+        if self.registry.active_version is None:
+            raise RuntimeError(
+                "ShadowPromotionGate needs an active model to compare "
+                "against; publish the loop's current checker with "
+                "activate=True first"
+            )
+        replay = observations[: self.max_replay]
+        meta = {"source": "evolution", **(metadata or {})}
+        meta["n_replay"] = len(replay)
+        version = self.registry.publish(candidate, metadata=meta).version
+        self.registry.stage_shadow(version)
+        self.registry.score_batch(replay)
+        return self.registry.promote(self.policy)
+
+
+class RulesetRegistry(ArtifactStore):
+    """Registry of behavior-ruleset artifacts with atomic activation.
+
+    The bundled ruleset is the implicit **version 0**, served until
+    something is activated.  ``root=None`` keeps everything in memory,
+    what a shard worker wants for rulesets pushed over the wire.
+    """
+
+    kind, manifest = "ruleset", "ruleset_manifest.json"
+    filename, swap_counter = "ruleset_v{:04d}.json", "ruleset_swap_total"
+
+    def __init__(
+        self,
+        root: str | Path | None = None,
+        metrics: MetricsRegistry | None = None,
+    ):
+        builtin = (BUILTIN_RULESET_VERSION, builtin_ruleset())
+        super().__init__(root, metrics, active=builtin)
+
+    @staticmethod
+    def decode(blob: bytes) -> tuple[RuleSpec, ...]:
+        return tuple(load_ruleset(json.loads(blob.decode("utf-8"))))
+
+    @staticmethod
+    def encode(source) -> tuple[bytes, dict]:
+        """Raw bytes/str are kept verbatim (the pushed bytes are what is
+        hashed); parsed forms are serialized canonically."""
+        if isinstance(source, str):
+            source = source.encode("utf-8")
+        elif not isinstance(source, bytes):
+            if not isinstance(source, dict):
+                source = {
+                    "version": 1,
+                    "rules": [
+                        s.to_dict() if isinstance(s, RuleSpec) else dict(s)
+                        for s in source
+                    ],
+                }
+            text = json.dumps(source, indent=2, sort_keys=True) + "\n"
+            source = text.encode("utf-8")
+        return source, {"n_rules": len(RulesetRegistry.decode(source))}
+
+    def load(self, version: int) -> tuple[RuleSpec, ...]:
+        if version == BUILTIN_RULESET_VERSION:
+            return builtin_ruleset()
+        return super().load(version)
+
+    active_specs = ArtifactStore.active

@@ -18,13 +18,11 @@ import threading
 import time
 from pathlib import Path
 
-import json
-
 from repro.android.apk import Apk
 from repro.core.pipeline import ObservationCache, VettingPipeline
 from repro.emulator.cluster import ServerCluster
 from repro.obs import MetricsRegistry, SpanSink
-from repro.rules import RuleCompileError, RuleEvaluator, lint_ruleset, load_ruleset
+from repro.rules import RuleCompileError, RuleEvaluator, lint_ruleset
 from repro.serve.queue import (
     QueueFullError,
     SubmissionQueue,
@@ -33,8 +31,11 @@ from repro.serve.queue import (
     lane_name,
     shard_of,
 )
-from repro.serve.registry import ModelRegistry
-from repro.serve.rulesets import RulesetRegistry
+from repro.serve.registry import (
+    ModelRegistry,
+    RulesetRegistry,
+    score_with_shadow,
+)
 
 __all__ = ["DrainStatus", "OnlineVettingService"]
 
@@ -308,13 +309,10 @@ class OnlineVettingService:
             ValueError: the ruleset failed parsing, linting, or
                 compilation.
         """
-        if isinstance(source, (bytes, bytearray)):
-            parsed = json.loads(bytes(source).decode("utf-8"))
-        elif isinstance(source, str):
-            parsed = json.loads(source)
-        else:
-            parsed = source
-        specs = tuple(load_ruleset(parsed))
+        if isinstance(source, bytearray):
+            source = bytes(source)
+        blob, _ = RulesetRegistry.encode(source)
+        specs = RulesetRegistry.decode(blob)
         errors = [
             issue
             for issue in lint_ruleset(specs)
@@ -332,7 +330,6 @@ class OnlineVettingService:
             )
         except RuleCompileError as exc:
             raise ValueError(f"ruleset failed compilation: {exc}") from exc
-        blob = source if isinstance(source, (bytes, str)) else parsed
         rv = self.rulesets.publish(blob, metadata=metadata, activate=True)
         return {
             "ruleset_version": rv.version,
@@ -563,18 +560,14 @@ class OnlineVettingService:
                 for analysis in result.analyses
                 if analysis is not None
             ]
-            verdicts = checker.verdicts_from_observations(
+            verdicts, agreed = score_with_shadow(
+                checker,
+                shadow,
                 [a.observation for a in analyzed],
                 analysis_minutes=[a.total_minutes for a in analyzed],
                 fell_back=[a.fell_back for a in analyzed],
             )
-            shadow_version = None
-            shadow_verdicts = None
-            if shadow is not None:
-                shadow_version, shadow_checker = shadow
-                shadow_verdicts = shadow_checker.verdicts_from_observations(
-                    [a.observation for a in analyzed]
-                )
+            shadow_version = shadow[0] if shadow is not None else None
             # Drift monitoring input: the batch's encoded feature rows
             # under the serving model's space.  Encoded inside the
             # lease (the space belongs to the leased checker), consumed
@@ -625,11 +618,7 @@ class OnlineVettingService:
                     continue
                 verdict = verdicts[scored]
                 explanation = explanations[scored]
-                agreed: bool | None = None
-                if shadow_verdicts is not None:
-                    agreed = (
-                        shadow_verdicts[scored].malicious == verdict.malicious
-                    )
+                agreement = agreed[scored] if agreed is not None else None
                 scored += 1
                 outcomes.append(
                     (
@@ -648,7 +637,7 @@ class OnlineVettingService:
                             "lane": lane_name(entry.lane),
                             "explanation": explanation,
                         },
-                        agreed,
+                        agreement,
                     )
                 )
         # Outside the lease: durably record outcomes and update tallies
@@ -663,12 +652,12 @@ class OnlineVettingService:
                 # first traffic scored under this space.
                 psi.set_reference(drift_matrix)
             self.drift_monitors.record_block(drift_matrix)
-        for entry, outcome, agreed in outcomes:
+        if agreed is not None:
+            self.models.record_shadow_results(agreed)
+        for entry, outcome, agreement in outcomes:
             self.metrics.inc("serve_scored_total")
-            if agreed is not None:
-                self.models.record_shadow_result(agreed)
-                if self.drift_monitors is not None:
-                    self.drift_monitors.record_shadow(agreed)
+            if agreement is not None and self.drift_monitors is not None:
+                self.drift_monitors.record_shadow(agreement)
             if outcome["status"] == "failed":
                 self.metrics.inc("serve_failed_total")
             elif outcome.get("malicious"):
@@ -682,6 +671,11 @@ class OnlineVettingService:
                     time.perf_counter() - accepted,
                     buckets=E2E_BUCKETS,
                 )
+
+    def roll_model(self, version: int) -> None:
+        """Hot-swap the served model to ``version``; in-flight
+        micro-batches finish under their lease."""
+        self.models.activate(version)
 
     def __enter__(self) -> "OnlineVettingService":
         return self.start()

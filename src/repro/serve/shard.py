@@ -49,6 +49,7 @@ from repro.serve.http import (
     retry_after_headers,
 )
 from repro.serve.queue import QueueFullError, shard_of
+from repro.serve.registry import ModelRegistry
 
 __all__ = [
     "RouterApi",
@@ -98,7 +99,6 @@ def _shard_worker_main(
     """
     import signal
 
-    from repro.serve.registry import ModelRegistry
     from repro.serve.service import OnlineVettingService
 
     # A terminal Ctrl-C delivers SIGINT to the whole foreground process
@@ -469,6 +469,15 @@ class ShardRouter:
             "serve_router_shard_restarts_total", shard=str(shard_id)
         )
         return self.shards[shard_id].replayed
+
+    def roll_model(self, version: int) -> None:
+        """Activate ``version`` in the shared model directory, then kill
+        and restart each shard in turn: a worker reads the manifest
+        when it starts, and its WAL replay covers in-flight work."""
+        ModelRegistry(self.model_dir).activate(version)
+        for shard_id in range(self.n_shards):
+            self.kill_shard(shard_id)
+            self.restart_shard(shard_id)
 
     def _handle(self, shard_id: int) -> ShardHandle:
         try:

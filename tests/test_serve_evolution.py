@@ -6,8 +6,8 @@ import pytest
 
 from repro.core.evolution import EvolutionLoop
 from repro.corpus.market import MarketStream
-from repro.serve.evolution import ShadowPromotionGate
-from repro.serve.registry import ModelRegistry
+from repro.obs import MetricsRegistry, set_default_registry
+from repro.serve.registry import ModelRegistry, ShadowPromotionGate
 
 EVO_SEED = 4200
 
@@ -140,3 +140,41 @@ def test_max_replay_caps_gate_work(loop, models):
     record = loop.run_month()
     assert record.promotion.n_scored == 25
     assert models.versions[2].metadata["n_replay"] == 25
+
+
+def test_gate_replays_the_month_as_one_batch(tmp_path, loop, models):
+    """One scoring call per model for the whole replay, and the same
+    decision a one-app-at-a-time replay of the month reaches."""
+    gate = ShadowPromotionGate(models, min_agreement=0.5, min_samples=10)
+    reference = ModelRegistry(tmp_path / "reference")
+    reference.publish(loop.checker, activate=True)
+    seen = {}
+
+    def gate_and_reference(candidate, observations, metadata=None):
+        version = reference.publish(candidate).version
+        reference.stage_shadow(version)
+        for observation in observations:
+            reference.score_batch([observation])
+        seen["per_app"] = reference.promote(gate.policy)
+        seen["timings"] = timings = MetricsRegistry()
+        previous = set_default_registry(timings)
+        try:
+            return gate(candidate, observations, metadata=metadata)
+        finally:
+            set_default_registry(previous)
+
+    loop.model_gate = gate_and_reference
+    record = loop.run_month()
+    n_replay = models.versions[2].metadata["n_replay"]
+    assert n_replay == 60
+    timings = seen["timings"]
+    assert timings.histogram_count("ml_predict_seconds") == 2
+    batched = timings.histogram(
+        "ml_predict_seconds", classifier="rf", batch_size=str(n_replay)
+    )
+    assert batched is not None and batched.count == 2  # active + shadow
+    per_app = seen["per_app"]
+    assert record.promotion.agreement == per_app.agreement
+    assert record.promotion.n_scored == per_app.n_scored == n_replay
+    assert record.promotion.promoted == per_app.promoted
+    assert record.promotion.reason == per_app.reason

@@ -9,6 +9,7 @@ from repro.obs import MetricsRegistry
 from repro.serve.registry import (
     IntegrityError,
     ModelRegistry,
+    PromotionPolicy,
     RWLock,
 )
 
@@ -102,17 +103,16 @@ def test_reopen_restores_active_and_shadow(tmp_path, fitted_checker):
 def test_score_without_active_model(tmp_path, observations):
     registry = ModelRegistry(tmp_path / "m")
     with pytest.raises(RuntimeError, match="no active model"):
-        registry.score(observations[0])
+        registry.score_batch(observations[:1])
 
 
 def test_shadow_agreement_tally(models, fitted_checker, observations):
     models.publish(fitted_checker)
     models.stage_shadow(2)
-    for obs in observations[:10]:
-        scored = models.score(obs)
-        assert scored.model_version == 1
-        assert scored.shadow_version == 2
-        assert scored.agreed is True  # identical model always agrees
+    version, _, shadow_version, agreed = models.score_batch(observations[:10])
+    assert version == 1
+    assert shadow_version == 2
+    assert agreed == [True] * 10  # identical model always agrees
     n, agree, rate = models.shadow_agreement()
     assert (n, agree, rate) == (10, 10, 1.0)
     assert models.metrics.value("serve_shadow_agree_total") == 10
@@ -122,8 +122,7 @@ def test_shadow_agreement_tally(models, fitted_checker, observations):
 def test_shadow_disagreement_is_counted(models, fitted_checker, observations):
     models.publish(_disagreeing_copy(fitted_checker))
     models.stage_shadow(2)
-    for obs in observations:
-        models.score(obs)
+    models.score_batch(observations)
     n, agree, rate = models.shadow_agreement()
     assert n == len(observations)
     assert rate < 0.9  # flag-everything must disagree on benign traffic
@@ -133,9 +132,8 @@ def test_shadow_disagreement_is_counted(models, fitted_checker, observations):
 def test_promotion_requires_samples(models, fitted_checker, observations):
     models.publish(fitted_checker)
     models.stage_shadow(2)
-    for obs in observations[:3]:
-        models.score(obs)
-    decision = models.promote_on_agreement(min_samples=20)
+    models.score_batch(observations[:3])
+    decision = models.promote(PromotionPolicy(min_samples=20))
     assert not decision.promoted
     assert "insufficient" in decision.reason
     # No-data no-swap: the shadow stays staged to gather more samples.
@@ -146,10 +144,9 @@ def test_promotion_requires_samples(models, fitted_checker, observations):
 def test_promotion_on_agreement(models, fitted_checker, observations):
     models.publish(fitted_checker)
     models.stage_shadow(2)
-    for obs in observations:
-        models.score(obs)
-    decision = models.promote_on_agreement(
-        min_agreement=0.9, min_samples=10
+    models.score_batch(observations)
+    decision = models.promote(
+        PromotionPolicy(min_agreement=0.9, min_samples=10)
     )
     assert decision.promoted and decision.agreement == 1.0
     assert models.active_version == 2
@@ -162,10 +159,9 @@ def test_promotion_on_agreement(models, fitted_checker, observations):
 def test_rollback_on_disagreement(models, fitted_checker, observations):
     models.publish(_disagreeing_copy(fitted_checker))
     models.stage_shadow(2)
-    for obs in observations:
-        models.score(obs)
-    decision = models.promote_on_agreement(
-        min_agreement=0.95, min_samples=10
+    models.score_batch(observations)
+    decision = models.promote(
+        PromotionPolicy(min_agreement=0.95, min_samples=10)
     )
     assert not decision.promoted
     assert models.active_version == 1  # the active model keeps serving
@@ -182,7 +178,7 @@ def test_rollback_on_disagreement(models, fitted_checker, observations):
 
 def test_promotion_without_shadow(models):
     with pytest.raises(RuntimeError, match="no shadow"):
-        models.promote_on_agreement()
+        models.promote()
 
 
 def test_hot_swap_never_yields_mixed_versions(
@@ -190,7 +186,7 @@ def test_hot_swap_never_yields_mixed_versions(
 ):
     """Concurrent scoring during repeated swaps stays version-consistent.
 
-    Scorer threads hammer :meth:`ModelRegistry.score` while the main
+    Scorer threads hammer :meth:`ModelRegistry.score_batch` while the main
     thread keeps flipping the active version; every scored submission
     must carry one coherent ``(model_version, shadow_version)`` pair —
     never a half-swapped state — and shadow verdicts must come from the
@@ -208,7 +204,9 @@ def test_hot_swap_never_yields_mixed_versions(
         i = 0
         try:
             while not stop.is_set():
-                scored.append(models.score(observations[i % len(observations)]))
+                scored.append(
+                    models.score_batch([observations[i % len(observations)]])
+                )
                 i += 1
         except Exception as exc:  # pragma: no cover - failure path
             errors.append(exc)
@@ -224,13 +222,13 @@ def test_hot_swap_never_yields_mixed_versions(
         t.join(10.0)
     assert not errors
     assert len(scored) > 0
-    for s in scored:
-        assert s.model_version in (1, 2)
+    for version, _, shadow_version, agreed in scored:
+        assert version in (1, 2)
         # stage_shadow(3) persists across swaps of the active slot,
         # except transiently when the activated version IS the shadow
         # (not the case here), so the pair must always be coherent.
-        assert s.shadow_version == 3
-        assert s.shadow_verdict is not None
+        assert shadow_version == 3
+        assert agreed is not None
     assert models.active_version == 1
 
 

@@ -7,9 +7,10 @@ import time
 import pytest
 
 from repro.rules import builtin_ruleset, load_ruleset
-from repro.serve.registry import IntegrityError, ModelRegistry
-from repro.serve.rulesets import (
+from repro.serve.registry import (
     BUILTIN_RULESET_VERSION,
+    IntegrityError,
+    ModelRegistry,
     RulesetRegistry,
 )
 from repro.serve.service import OnlineVettingService

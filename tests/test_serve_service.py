@@ -6,7 +6,7 @@ import pytest
 
 from repro.obs import MetricsRegistry
 from repro.serve.queue import QueueFullError, SubmissionQueue
-from repro.serve.registry import ModelRegistry
+from repro.serve.registry import ModelRegistry, PromotionPolicy
 from repro.serve.service import OnlineVettingService
 
 
@@ -193,7 +193,9 @@ def test_shadow_scoring_rides_live_traffic(models, fitted_checker, generator):
             assert service.result(apk.md5)["shadow_model_version"] == 2
     n, agree, rate = models.shadow_agreement()
     assert n == len(apps) and rate == 1.0
-    decision = models.promote_on_agreement(min_agreement=0.9, min_samples=5)
+    decision = models.promote(
+        PromotionPolicy(min_agreement=0.9, min_samples=5)
+    )
     assert decision.promoted and models.active_version == 2
 
 
