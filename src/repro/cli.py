@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "otherwise a bootstrap model is trained and "
                             "published")
     serve.add_argument("--workers", type=int, default=4,
-                       help="pipeline workers per micro-batch (default 4)")
+                       help="pipeline slot-pool size (default 4)")
     serve.add_argument("--batch-size", type=int, default=8,
                        help="max submissions per dispatch cycle (default 8)")
     serve.add_argument("--max-depth", type=int, default=10_000,

@@ -217,16 +217,13 @@ class DynamicAnalysisEngine:
         """
         return self.monkey.n_events * 126.0 / 5000 / 120
 
-    def _attempt_chain(self) -> list[EmulatorBackend]:
+    @property
+    def attempt_chain(self) -> list[EmulatorBackend]:
+        """Backends in fallback order (primary first)."""
         chain = [self.primary]
         if self.fallback is not None and self.fallback is not self.primary:
             chain.append(self.fallback)
         return chain
-
-    @property
-    def attempt_chain(self) -> list[EmulatorBackend]:
-        """Backends in fallback order (primary first)."""
-        return self._attempt_chain()
 
     def attempt(
         self,
@@ -236,8 +233,9 @@ class DynamicAnalysisEngine:
     ) -> EmulationResult:
         """One emulation attempt of one app on one backend.
 
-        This is the primitive both :meth:`analyze` and the parallel
-        pipeline drive; it performs no retry or fallback itself.
+        The primitive :meth:`analyze` drives (the parallel pipeline
+        runs whole :meth:`analyze` calls); it performs no retry or
+        fallback itself.
 
         Raises:
             IncompatibleAppError: the app cannot run on this backend.
@@ -263,8 +261,7 @@ class DynamicAnalysisEngine:
         except EmulatorCrash:
             self._bump("crashes")
             # A crashed run burns emulator-slot time before the
-            # SystemServer exception surfaces; account it here so both
-            # the sequential and the pipelined paths agree.
+            # SystemServer exception surfaces.
             self.registry.inc(
                 "engine_crash_waste_minutes_total",
                 self.crash_waste_minutes(),
@@ -335,7 +332,7 @@ class DynamicAnalysisEngine:
             sink=self.sink,
             md5=apk.md5,
         ):
-            for backend_i, backend in enumerate(self._attempt_chain()):
+            for backend_i, backend in enumerate(self.attempt_chain):
                 if backend_i > 0:
                     fell_back = True
                 for _ in range(self.max_retries + 1):

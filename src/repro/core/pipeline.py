@@ -2,20 +2,21 @@
 
 The deployed APICHECKER vets ~10K submissions/day on one 16-emulator
 server (§5.2).  :class:`VettingPipeline` reproduces that executor shape:
-a worker pool sized to :attr:`ServerCluster.total_slots` pulls apps off
-a dispatch queue, each worker runs *one emulation attempt* at a time,
-and the dispatcher requeues crashed or incompatible apps through the
-engine's retry/fallback chain with bounded (capped, exponential)
-simulated backoff.  The per-slot timeline is recorded as attempts
-actually complete, so the resulting :class:`ScheduleReport` reflects
-real execution order rather than post-hoc list scheduling.
+a long-lived worker pool sized to :attr:`ServerCluster.total_slots`,
+where each worker holds one slot for one app's whole
+:meth:`DynamicAnalysisEngine.analyze` — crash detection, bounded retry
+and fallback to the full emulator, the engine's one retry/fallback
+chain.  Every attempt after an app's first is a requeue that waits out
+a bounded (capped, exponential) simulated backoff before its slot
+interval starts.  The per-slot timeline is recorded as apps actually
+complete, so the resulting :class:`ScheduleReport` reflects real
+execution order rather than post-hoc list scheduling.
 
-Determinism: every app draws randomness from
-:meth:`DynamicAnalysisEngine.rng_for` — a pure function of the engine
-seed and the APK md5 — and an app is never in flight twice at once, so
-its attempt sequence consumes the same stream regardless of worker
-count.  Sequential, 1-worker, and N-worker runs produce bit-identical
-observations.
+Determinism: every analysis draws randomness from a fresh
+:meth:`DynamicAnalysisEngine.rng_for` generator — a pure function of
+the engine seed and the APK md5 — so an app's attempt sequence is the
+same regardless of worker count.  Sequential, 1-worker, and N-worker
+runs produce bit-identical observations.
 
 :class:`ObservationCache` short-circuits re-emulation for resubmitted
 and repackaged APKs (md5-keyed), the dominant share of daily market
@@ -28,27 +29,33 @@ from __future__ import annotations
 import json
 import threading
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from pathlib import Path
 
 from repro.android.apk import Apk
-from repro.core.engine import AppAnalysis, DynamicAnalysisEngine
+from repro.core.engine import (
+    AnalysisFailure,
+    AppAnalysis,
+    DynamicAnalysisEngine,
+)
 from repro.core.features import AppObservation
 from repro.corpus.generator import AppCorpus
-from repro.emulator.backends import EmulatorCrash, IncompatibleAppError
 from repro.emulator.cluster import (
     ScheduledTask,
     ScheduleReport,
     ServerCluster,
 )
-from repro.emulator.runtime import EmulationResult
 from repro.obs import MetricsRegistry, SpanSink, record_span
 
 #: Cache file format marker (shares the analysis-log JSON-lines shape).
 CACHE_FORMAT_VERSION = 1
+
+#: Simulated delay before a requeued app's next attempt, doubled per
+#: requeue up to the cap (the "bounded" part of bounded backoff).
+BASE_BACKOFF_MINUTES = 0.25
+MAX_BACKOFF_MINUTES = 4.0
 
 #: Keys of the unified counts schema shared by :meth:`PipelineResult.as_dict`
 #: and :meth:`repro.core.vetting.DailyReport.as_dict` — one shape for every
@@ -113,8 +120,6 @@ class ObservationCache:
         self.path = Path(path) if path is not None else None
         self._entries: dict[str, AppObservation] = {}
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
         if self.path is not None:
             if self.path.exists():
                 self._load()
@@ -167,14 +172,9 @@ class ObservationCache:
                 self._entries[obs.apk_md5] = obs
 
     def get(self, md5: str) -> AppObservation | None:
-        """Look up an observation, counting the hit or miss."""
+        """Look up an observation (None on a miss)."""
         with self._lock:
-            obs = self._entries.get(md5)
-            if obs is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return obs
+            return self._entries.get(md5)
 
     def put(self, obs: AppObservation) -> None:
         """Store an observation (idempotent per md5) and persist it."""
@@ -213,8 +213,11 @@ class PipelineResult:
         analyses: per-app outcomes in submission order (None at indices
             that failed every backend; see ``failures``).
         schedule: per-slot timeline derived from actual execution order.
-        cache_hits / cache_misses: observation-cache traffic this run.
-        requeues: dispatcher requeues (crashes + backend fallbacks).
+        cache_hits / cache_misses: observation-cache lookups this run,
+            one per app (a later copy of an md5 already in the batch
+            is a hit), so they sum to the batch size with a cache.
+        requeues: attempts after each app's first (crash retries +
+            backend fallbacks).
         failures: apps no backend could analyze.
         wall_seconds: real elapsed time of the run.
         workers: worker-pool size used.
@@ -265,26 +268,20 @@ class PipelineResult:
         return render_summary(self.as_dict())
 
 
-@dataclass
-class _AppTask:
-    """Dispatcher-side state for one submitted app."""
-
-    index: int
-    apk: Apk
-    rng: object  # np.random.Generator; typed loosely to keep pickling simple
-    backend_pos: int = 0
-    retries_on_backend: int = 0
-    attempts: int = 0
-    requeues: int = 0
-    wasted_minutes: float = 0.0
-    backoff_minutes: float = 0.0
-    submitted: bool = False
-    last_error: str = ""
-    enqueued_wall: float = 0.0
+def _cached_analysis(obs: AppObservation) -> AppAnalysis:
+    """An analysis served from the cache: no emulation, no sim time."""
+    return AppAnalysis(
+        observation=obs,
+        result=None,
+        attempts=0,
+        fell_back=False,
+        total_minutes=0.0,
+        from_cache=True,
+    )
 
 
 class VettingPipeline:
-    """Dispatches analyses onto a worker pool of emulator slots.
+    """Runs analyses on a long-lived worker pool of emulator slots.
 
     Args:
         engine: the analysis engine (shared by all workers; its per-app
@@ -293,9 +290,6 @@ class VettingPipeline:
         workers: override the pool size (clamped to
             ``cluster.total_slots``; default: all slots).
         cache: md5-keyed observation cache; hits skip emulation.
-        base_backoff_minutes: simulated delay before a requeued app's
-            next attempt may start, doubled per requeue.
-        max_backoff_minutes: backoff cap (the "bounded" part).
         pace_seconds_per_minute: real seconds a worker holds its slot
             per simulated emulation minute.  0.0 (default) runs the
             simulation flat out; benchmarks set it >0 to reproduce the
@@ -306,6 +300,8 @@ class VettingPipeline:
             land in one place).
         sink: optional span sink for structured trace events (default:
             the engine's sink).
+
+    The pool lives as long as the pipeline; :meth:`close` shuts it.
     """
 
     def __init__(
@@ -314,16 +310,12 @@ class VettingPipeline:
         cluster: ServerCluster | None = None,
         workers: int | None = None,
         cache: ObservationCache | None = None,
-        base_backoff_minutes: float = 0.25,
-        max_backoff_minutes: float = 4.0,
         pace_seconds_per_minute: float = 0.0,
         registry: MetricsRegistry | None = None,
         sink: SpanSink | None = None,
     ):
         if workers is not None and workers <= 0:
             raise ValueError("workers must be positive")
-        if base_backoff_minutes < 0 or max_backoff_minutes < 0:
-            raise ValueError("backoff minutes must be non-negative")
         if pace_seconds_per_minute < 0:
             raise ValueError("pace must be non-negative")
         self.engine = engine
@@ -331,49 +323,37 @@ class VettingPipeline:
         slots = self.cluster.total_slots
         self.workers = slots if workers is None else min(workers, slots)
         self.cache = cache
-        self.base_backoff_minutes = base_backoff_minutes
-        self.max_backoff_minutes = max_backoff_minutes
         self.pace_seconds_per_minute = pace_seconds_per_minute
         self.registry = registry if registry is not None else engine.registry
         self.sink = sink if sink is not None else engine.sink
+        self._pool = ThreadPoolExecutor(
+            max_workers=self.workers, thread_name_prefix="vetting-slot"
+        )
 
-    # ------------------------------------------------------------------
-    # Worker side: one emulation attempt
-    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Shut the slot pool down once its running analyses finish."""
+        self._pool.shutdown(wait=True)
 
-    def _run_attempt(self, task: _AppTask) -> tuple[str, object]:
-        """Run one attempt of one app on its current backend."""
-        backend = self.engine.attempt_chain[task.backend_pos]
-        pace = self.pace_seconds_per_minute
-        queue_wait = time.perf_counter() - task.enqueued_wall
-        self.registry.observe("pipeline_queue_wait_seconds", queue_wait)
+    def _vet(self, apk: Apk, enqueued: float) -> AppAnalysis | AnalysisFailure:
+        """Worker side: one app's whole retry/fallback chain on a slot."""
         started = time.perf_counter()
+        self.registry.observe("pipeline_queue_wait_seconds", started - enqueued)
         try:
-            try:
-                result = self.engine.attempt(task.apk, backend, task.rng)
-            except IncompatibleAppError as exc:
-                return "incompatible", str(exc)
-            except EmulatorCrash as exc:
-                if pace:
-                    time.sleep(self.engine.crash_waste_minutes() * pace)
-                return "crash", str(exc)
-            if pace:
-                time.sleep(result.analysis_minutes * pace)
-            return "ok", result
-        finally:
-            # Slot-occupancy wall time of this attempt (pace included).
-            self.registry.observe(
-                "pipeline_attempt_seconds",
-                time.perf_counter() - started,
-                backend=backend.name,
-            )
-
-    # ------------------------------------------------------------------
-    # Dispatcher side
-    # ------------------------------------------------------------------
+            outcome = self.engine.analyze(apk)
+            minutes = outcome.total_minutes
+        except AnalysisFailure as exc:
+            outcome = exc
+            minutes = exc.wasted_minutes
+        if self.pace_seconds_per_minute:
+            time.sleep(minutes * self.pace_seconds_per_minute)
+        # Slot-occupancy wall time of the app (pace included).
+        self.registry.observe(
+            "pipeline_slot_seconds", time.perf_counter() - started
+        )
+        return outcome
 
     def run(self, corpus: AppCorpus | list[Apk]) -> PipelineResult:
-        """Vet a batch, streaming completions back as they finish."""
+        """Vet a batch, recording each slot interval as its app finishes."""
         apks = list(corpus)
         started = time.perf_counter()
         n = len(apks)
@@ -381,49 +361,63 @@ class VettingPipeline:
         registry.inc("pipeline_submissions_total", n)
         analyses: list[AppAnalysis | None] = [None] * n
         failures: list[PipelineFailure] = []
-        requeues = 0
-        hits_before = self.cache.hits if self.cache is not None else 0
-        misses_before = self.cache.misses if self.cache is not None else 0
+        requeues = hits = misses = 0
 
-        engine = self.engine
-        chain = engine.attempt_chain
+        # With a cache, each md5 emulates once per batch: later copies
+        # wait on the first (md5 -> their indices) and count as hits.
+        copies: dict[str, list[int]] = {}
+        futures: dict[Future, int] = {}
+        for i, apk in enumerate(apks):
+            if self.cache is not None:
+                cached = self.cache.get(apk.md5)
+                if cached is not None or apk.md5 in copies:
+                    hits += 1
+                    registry.inc("pipeline_cache_hits_total")
+                    if cached is None:
+                        copies[apk.md5].append(i)
+                        continue
+                    registry.inc("pipeline_cached_total")
+                    analyses[i] = _cached_analysis(cached)
+                    continue
+                misses += 1
+                registry.inc("pipeline_cache_misses_total")
+                copies[apk.md5] = []
+            futures[self._pool.submit(self._vet, apk, started)] = i
+
         slots_per_server = self.cluster.server.emulator_slots
         # Simulated per-slot clocks for the executed timeline.
         slot_heap: list[tuple[float, int]] = [
             (0.0, s) for s in range(self.workers)
         ]
         timeline: list[ScheduledTask] = []
-
-        pending: deque[_AppTask] = deque(
-            _AppTask(
-                index=i,
-                apk=apk,
-                rng=engine.rng_for(apk),
-                enqueued_wall=started,
+        for future in as_completed(futures):
+            index = futures[future]
+            outcome = future.result()
+            md5 = apks[index].md5
+            # Every attempt after the first was a requeue that waited
+            # out its backoff before the app's next start.
+            retried = outcome.attempts - 1
+            backoff = sum(
+                min(MAX_BACKOFF_MINUTES, BASE_BACKOFF_MINUTES * 2**r)
+                for r in range(retried)
             )
-            for i, apk in enumerate(apks)
-        )
-        # Apps deferred because an identical md5 is currently in flight.
-        deferred: dict[str, list[_AppTask]] = {}
-        inflight_md5: set[str] = set()
-
-        def record_success(task: _AppTask, result: EmulationResult) -> None:
-            nonlocal timeline
-            analysis = engine._finish(
-                task.apk,
-                result,
-                task.attempts,
-                task.backend_pos > 0,
-                task.wasted_minutes,
-            )
-            analyses[task.index] = analysis
+            if retried:
+                requeues += retried
+                registry.inc("pipeline_requeues_total", retried)
+                registry.inc("pipeline_backoff_minutes_total", backoff)
+            if isinstance(outcome, AnalysisFailure):
+                for j in (index, *copies.get(md5, ())):
+                    registry.inc("pipeline_failed_total")
+                    failures.append(PipelineFailure(j, md5, str(outcome)))
+                continue
+            analyses[index] = outcome
             avail, slot = heappop(slot_heap)
-            start = max(avail, task.backoff_minutes)
-            end = start + analysis.total_minutes
+            start = max(avail, backoff)
+            end = start + outcome.total_minutes
             heappush(slot_heap, (end, slot))
             timeline.append(
                 ScheduledTask(
-                    app_index=task.index,
+                    app_index=index,
                     server=slot // slots_per_server,
                     slot=slot % slots_per_server,
                     start_minute=start,
@@ -440,103 +434,15 @@ class VettingPipeline:
                 end,
                 registry=registry,
                 sink=self.sink,
-                app_index=task.index,
+                app_index=index,
                 slot=slot,
-                attempts=task.attempts,
+                attempts=outcome.attempts,
             )
             if self.cache is not None:
-                self.cache.put(analysis.observation)
-
-        def record_failure(task: _AppTask) -> None:
-            engine._bump("failures")
-            registry.inc("pipeline_failed_total")
-            failures.append(
-                PipelineFailure(
-                    app_index=task.index,
-                    apk_md5=task.apk.md5,
-                    reason=(
-                        f"all backends failed for {task.apk.package_name}: "
-                        f"{task.last_error}"
-                    ),
-                )
-            )
-
-        def release_deferred(md5: str) -> None:
-            for held in deferred.pop(md5, []):
-                pending.appendleft(held)
-
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            inflight: dict[object, _AppTask] = {}
-            while pending or inflight:
-                # Fill every free worker slot.
-                while pending and len(inflight) < self.workers:
-                    task = pending.popleft()
-                    md5 = task.apk.md5
-                    if self.cache is not None and task.attempts == 0:
-                        cached = self.cache.get(md5)
-                        registry.inc(
-                            "pipeline_cache_hits_total"
-                            if cached is not None
-                            else "pipeline_cache_misses_total"
-                        )
-                        if cached is not None:
-                            registry.inc("pipeline_cached_total")
-                            analyses[task.index] = AppAnalysis(
-                                observation=cached,
-                                result=None,
-                                attempts=0,
-                                fell_back=False,
-                                total_minutes=0.0,
-                                from_cache=True,
-                            )
-                            continue
-                        if md5 in inflight_md5:
-                            deferred.setdefault(md5, []).append(task)
-                            continue
-                    if not task.submitted:
-                        task.submitted = True
-                        engine._bump("submissions")
-                    inflight_md5.add(md5)
-                    fut = pool.submit(self._run_attempt, task)
-                    inflight[fut] = task
-                if not inflight:
-                    continue
-                done, _ = wait(inflight, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    task = inflight.pop(fut)
-                    inflight_md5.discard(task.apk.md5)
-                    kind, payload = fut.result()
-                    task.attempts += 1
-                    if kind == "ok":
-                        record_success(task, payload)
-                        release_deferred(task.apk.md5)
-                        continue
-                    task.last_error = str(payload)
-                    if kind == "crash":
-                        task.wasted_minutes += engine.crash_waste_minutes()
-                        task.retries_on_backend += 1
-                        if task.retries_on_backend > engine.max_retries:
-                            task.backend_pos += 1
-                            task.retries_on_backend = 0
-                    else:  # incompatible: no point retrying this backend
-                        task.backend_pos += 1
-                        task.retries_on_backend = 0
-                    if task.backend_pos >= len(chain):
-                        record_failure(task)
-                        release_deferred(task.apk.md5)
-                        continue
-                    task.requeues += 1
-                    requeues += 1
-                    registry.inc("pipeline_requeues_total")
-                    backoff = min(
-                        self.max_backoff_minutes,
-                        self.base_backoff_minutes
-                        * 2 ** (task.requeues - 1),
-                    )
-                    registry.inc("pipeline_backoff_minutes_total", backoff)
-                    task.backoff_minutes += backoff
-                    task.enqueued_wall = time.perf_counter()
-                    pending.append(task)
+                self.cache.put(outcome.observation)
+                for j in copies[md5]:
+                    registry.inc("pipeline_cached_total")
+                    analyses[j] = _cached_analysis(outcome.observation)
 
         schedule = ScheduleReport.from_executed(
             timeline, self.workers, slots_per_server
@@ -546,19 +452,13 @@ class VettingPipeline:
         registry.observe(
             "pipeline_run_seconds", time.perf_counter() - started
         )
-        hits = (self.cache.hits - hits_before) if self.cache is not None else 0
-        misses = (
-            (self.cache.misses - misses_before)
-            if self.cache is not None
-            else 0
-        )
         return PipelineResult(
             analyses=analyses,
             schedule=schedule,
             cache_hits=hits,
             cache_misses=misses,
             requeues=requeues,
-            failures=tuple(failures),
+            failures=tuple(sorted(failures, key=lambda f: f.app_index)),
             wall_seconds=time.perf_counter() - started,
             workers=self.workers,
         )

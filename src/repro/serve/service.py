@@ -3,11 +3,12 @@
 :class:`OnlineVettingService` is the deployed shape of APICHECKER (§6):
 submissions arrive continuously (HTTP or direct calls), are made
 durable by the :class:`~repro.serve.queue.SubmissionQueue` WAL, and a
-dispatcher thread drains them in priority order through the existing
-:class:`~repro.core.pipeline.VettingPipeline` (crash requeue, fallback
-chain, observation cache) in micro-batches.  Each batch is analyzed and
-scored under a single model-registry read lease, so a concurrent model
-promotion can never hand one request a mixed-version answer.  Terminal
+dispatcher thread drains them in priority order through one long-lived
+:class:`~repro.core.pipeline.VettingPipeline` (the engine's crash
+retry/fallback chain on a slot pool, observation cache) in
+micro-batches.  Each batch is analyzed and scored under a single
+model-registry read lease, so a concurrent model promotion can never
+hand one request a mixed-version answer.  Terminal
 outcomes are WAL-recorded, which is what makes kill-and-restart
 loss-free and exactly-once.
 """
@@ -79,10 +80,12 @@ class OnlineVettingService:
             when not supplied.
         spool_dir: where the queue WAL lives (used only when ``queue``
             is None); ``None`` runs non-durably in memory.
-        workers: pipeline worker-pool size per micro-batch.
+        workers: size of the pipeline's slot pool, which lives as long
+            as the served model's engine (a model swap rebuilds it).
         batch_size: max submissions drained per dispatch cycle.  Small
             batches keep the accept-to-verdict latency low; large ones
-            amortize pool spin-up.
+            keep more of the slot pool busy and amortize the per-batch
+            lease, scoring and rules calls.
         max_depth: admission bound for a queue built here.
         cache: md5-keyed observation cache shared across batches
             (``True`` for a fresh in-memory one, a path for a persistent
@@ -112,13 +115,7 @@ class OnlineVettingService:
             keeping each md5's WAL history strictly shard-local.
             ``None`` (default) accepts everything.
         pace_seconds_per_minute: slot-occupancy pacing forwarded to the
-            per-batch :class:`VettingPipeline` (see its docstring).
-        pipeline_factory: injectable dispatch — a callable
-            ``(engine) -> VettingPipeline`` used to build the pipeline
-            for each micro-batch.  Default: a pipeline over this
-            service's cluster/workers/cache/pace configuration.  The
-            shard tier injects per-shard objects here so worker
-            processes share no mutable state.
+            :class:`VettingPipeline` (see its docstring).
         drift_monitors: online drift detection over the live traffic —
             a :class:`~repro.drift.detectors.DriftMonitorBank`,
             ``True`` for the default bank (shadow agreement, labeled-lag
@@ -150,7 +147,6 @@ class OnlineVettingService:
         rulesets: RulesetRegistry | str | Path | None = None,
         shard: tuple[int, int] | None = None,
         pace_seconds_per_minute: float = 0.0,
-        pipeline_factory=None,
         drift_monitors=None,
     ):
         if workers < 1:
@@ -166,11 +162,6 @@ class OnlineVettingService:
                 )
         self.shard = shard
         self.pace_seconds_per_minute = pace_seconds_per_minute
-        self.pipeline_factory = (
-            pipeline_factory
-            if pipeline_factory is not None
-            else self._default_pipeline
-        )
         self.models = models
         self.metrics = metrics if metrics is not None else models.metrics
         self.queue = queue if queue is not None else SubmissionQueue(
@@ -190,6 +181,9 @@ class OnlineVettingService:
         elif isinstance(cache, (str, Path)):
             cache = ObservationCache(cache)
         self.cache = cache
+        #: The pipeline for the engine the dispatcher last ran; built,
+        #: and closed on a model swap, by the dispatcher thread only.
+        self._pipeline: VettingPipeline | None = None
         #: md5 -> terminal outcome dict; seeded with outcomes the queue
         #: recovered from its WAL so completed work is never re-scored.
         self.results: dict[str, dict] = dict(self.queue.completed)
@@ -449,7 +443,11 @@ class OnlineVettingService:
         return self.queue.pending_md5s()
 
     def close(self) -> frozenset[str]:
+        """Stop, then shut the slot pool and close the queue."""
         abandoned = self.stop()
+        if self._pipeline is not None:
+            self._pipeline.close()
+            self._pipeline = None
         self.queue.close()
         return abandoned
 
@@ -489,17 +487,23 @@ class OnlineVettingService:
                     self._processing -= len(batch)
                     self._idle.notify_all()
 
-    def _default_pipeline(self, engine) -> VettingPipeline:
-        """The default dispatch: a pipeline over this service's config."""
-        return VettingPipeline(
-            engine,
-            cluster=self.cluster,
-            workers=self.workers,
-            cache=self.cache,
-            pace_seconds_per_minute=self.pace_seconds_per_minute,
-            registry=self.metrics,
-            sink=self.sink,
-        )
+    def _pipeline_for(self, engine) -> VettingPipeline:
+        """The pipeline over ``engine``, rebuilt when a model swap
+        leases a different production engine."""
+        pipeline = self._pipeline
+        if pipeline is None or pipeline.engine is not engine:
+            if pipeline is not None:
+                pipeline.close()
+            pipeline = self._pipeline = VettingPipeline(
+                engine,
+                cluster=self.cluster,
+                workers=self.workers,
+                cache=self.cache,
+                pace_seconds_per_minute=self.pace_seconds_per_minute,
+                registry=self.metrics,
+                sink=self.sink,
+            )
+        return pipeline
 
     def _evaluator_for(
         self,
@@ -551,7 +555,7 @@ class OnlineVettingService:
             checker,
             shadow,
         ), self.rulesets.lease() as (ruleset_version, ruleset_specs):
-            pipeline = self.pipeline_factory(checker.production_engine)
+            pipeline = self._pipeline_for(checker.production_engine)
             result = pipeline.run([entry.apk for entry in batch])
             # One blocked scoring call for the whole micro-batch (and
             # one more for the shadow model), all under this lease.
@@ -581,9 +585,7 @@ class OnlineVettingService:
                 drift_matrix = checker.feature_space.encode_batch(
                     [a.observation for a in analyzed]
                 )
-            failures = {}
-            for failure in result.failures:
-                failures.setdefault(failure.apk_md5, failure.reason)
+            reasons = {f.app_index: f.reason for f in result.failures}
             # One rules call for every flagged app of the batch.
             explanations: list[dict | None] = [None] * len(analyzed)
             flagged = [
@@ -597,7 +599,9 @@ class OnlineVettingService:
                     explanations[i] = report.to_dict()
             outcomes: list[tuple[SubmissionRecord, dict, bool | None]] = []
             scored = 0
-            for entry, analysis in zip(batch, result.analyses):
+            for i, (entry, analysis) in enumerate(
+                zip(batch, result.analyses)
+            ):
                 if analysis is None:
                     outcomes.append(
                         (
@@ -605,9 +609,7 @@ class OnlineVettingService:
                             {
                                 "md5": entry.md5,
                                 "status": "failed",
-                                "reason": failures.get(
-                                    entry.md5, "analysis failed"
-                                ),
+                                "reason": reasons[i],
                                 "model_version": version,
                                 "ruleset_version": ruleset_version,
                                 "lane": lane_name(entry.lane),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import AnalysisFailure, DynamicAnalysisEngine
-from repro.core.pipeline import VettingPipeline
+from repro.core.pipeline import ObservationCache, VettingPipeline
 from repro.emulator.backends import (
     EmulatorCrash,
     GoogleEmulator,
@@ -275,6 +275,34 @@ def test_parallel_all_backends_failed_is_isolated(sdk, day):
     )
     for failure in result.failures:
         assert "all backends failed" in failure.reason
+
+
+def test_failed_duplicates_in_one_batch_emulate_once(sdk, day):
+    """Copies of a poisoned md5 run its chain once, yet each copy
+    gets its own failure at its own index."""
+    engine = DynamicAnalysisEngine(
+        sdk, [], primary=AlwaysCrashing(), fallback=None,
+        max_retries=0, seed=10,
+    )
+    registry = engine.registry
+    batch = [day[0], day[1], day[0], day[0]]
+    result = VettingPipeline(
+        engine, workers=4, cache=ObservationCache()
+    ).run(batch)
+    assert engine.stats_view.submissions == 2
+    assert engine.stats_view.failures == 2
+    assert [f.app_index for f in result.failures] == [0, 1, 2, 3]
+    by_index = {f.app_index: f for f in result.failures}
+    assert by_index[2].reason == by_index[3].reason == by_index[0].reason
+    assert {by_index[i].apk_md5 for i in (0, 2, 3)} == {day[0].md5}
+    assert result.cache_hits == 2 and result.cache_misses == 2
+    assert (
+        registry.value("pipeline_analyzed_total")
+        + registry.value("pipeline_cached_total")
+        + registry.value("pipeline_failed_total")
+        == registry.value("pipeline_submissions_total")
+        == len(batch)
+    )
 
 
 def test_parallel_partial_failures_keep_indices_aligned(sdk, day):

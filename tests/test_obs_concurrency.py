@@ -94,7 +94,7 @@ def test_histograms_are_monotone_across_runs(sdk, apps):
                 for name in (
                     "pipeline_task_minutes",
                     "pipeline_queue_wait_seconds",
-                    "pipeline_attempt_seconds",
+                    "pipeline_slot_seconds",
                     "engine_attempt_seconds",
                     "engine_emulation_minutes",
                     "pipeline_run_seconds",

@@ -222,5 +222,8 @@ def test_duplicate_md5s_in_one_batch_emulate_once(sdk, catalog):
     assert engine.stats_view.submissions == 1
     assert result.n_analyzed == 1
     assert result.n_cached == 5
+    # One lookup per app: the later copies hit the first.
+    assert result.cache_hits == 5
+    assert result.cache_misses == 1
     observations = [a.observation for a in result.analyses]
     assert all(o == observations[0] for o in observations)

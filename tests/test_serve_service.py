@@ -1,5 +1,6 @@
 """Tests for the online vetting service (dispatch, conservation, restart)."""
 
+import threading
 import time
 
 import pytest
@@ -381,3 +382,75 @@ def test_batched_explanations_equal_per_app_ones(models, generator):
     assert metrics.value("serve_batches_total") == 1
     assert metrics.value("rules_batches_total") == 1
     assert metrics.value("rules_evaluations_total") == flagged
+
+
+def _slot_threads():
+    return {
+        t for t in threading.enumerate() if t.name.startswith("vetting-slot")
+    }
+
+
+def test_roll_model_rebuilds_the_slot_pool_and_close_ends_it(
+    models, fitted_checker, generator
+):
+    """One pool per served engine: a model swap closes the old pool,
+    later verdicts carry the new version, and close() ends the rest."""
+    models.publish(fitted_checker)
+    before = _slot_threads()
+    first, second = generator.sample_app(), generator.sample_app()
+    with _service(models) as service:
+        service.submit(first)
+        assert service.drain(60.0)
+        assert service.result(first.md5)["model_version"] == 1
+        first_pool = _slot_threads() - before
+        assert first_pool
+        service.roll_model(2)
+        service.submit(second)
+        assert service.drain(60.0)
+        assert service.result(second.md5)["model_version"] == 2
+        assert not any(t.is_alive() for t in first_pool)
+        pool = _slot_threads() - before
+        assert pool
+    assert not any(t.is_alive() for t in pool | first_pool)
+
+
+def test_stopped_service_restarts_and_still_vets(models, generator):
+    first, second = generator.sample_app(), generator.sample_app()
+    service = _service(models)
+    try:
+        service.start()
+        service.submit(first)
+        assert service.drain(60.0)
+        service.stop()
+        assert not service.running
+        service.start()
+        service.submit(second)
+        assert service.drain(60.0)
+        assert service.result(second.md5)["status"] == "done"
+    finally:
+        service.close()
+
+
+def test_failed_analysis_outcome_carries_its_reason(models, generator):
+    from repro.emulator.backends import GoogleEmulator
+
+    class AlwaysCrashing(GoogleEmulator):
+        def crash_probability(self, apk):
+            return 1.0
+
+    engine = models.active_checker().production_engine
+    saved = engine.primary, engine.fallback
+    engine.primary, engine.fallback = AlwaysCrashing(), None
+    apk = generator.sample_app()
+    try:
+        with _service(models) as service:
+            service.submit(apk)
+            assert service.drain(60.0)
+    finally:
+        engine.primary, engine.fallback = saved
+    outcome = service.result(apk.md5)
+    assert outcome["status"] == "failed"
+    assert outcome["reason"].startswith(
+        f"all backends failed for {apk.package_name}: "
+    )
+    assert service.metrics.value("serve_failed_total") == 1
