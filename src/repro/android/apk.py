@@ -57,13 +57,13 @@ class Apk:
         h.update(str(self.manifest.version_code).encode())
         h.update(",".join(self.manifest.requested_permissions).encode())
         h.update(",".join(a.name for a in self.manifest.activities).encode())
-        h.update(
-            "".join([
-                f"{site.api_id}:{site.rate_multiplier:.6f}:"
-                f"{site.reach_quantile:.6f};"
-                for site in self.dex.call_sites
-            ]).encode()
-        )
+        # One "{api_id}:{rate:.6f}:{reach:.6f};" per call site.
+        sites = self.dex.call_sites
+        cells = [None] * (3 * len(sites))
+        cells[0::3] = sites.api_id.tolist()
+        cells[1::3] = sites.rate_multiplier.tolist()
+        cells[2::3] = sites.reach_quantile.tolist()
+        h.update((("%d:%.6f:%.6f;" * len(sites)) % tuple(cells)).encode())
         h.update(",".join(map(str, self.dex.reflection_api_ids)).encode())
         h.update(",".join(self.dex.sent_intents).encode())
         h.update(",".join(lib.name for lib in self.dex.native_libs).encode())

@@ -19,7 +19,9 @@ Three evasion mechanisms from the paper are modelled:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 
 class EmulatorProbe(enum.Enum):
@@ -59,12 +61,16 @@ class NativeLib:
             raise ValueError("size_mb must be positive")
 
 
-@dataclass(frozen=True)
-class ApiCallSite:
-    """A direct framework-API call site in the app code.
+@dataclass(frozen=True, eq=False)
+class CallSites:
+    """The direct framework-API call sites in the app code, as columns.
+
+    Entry ``i`` of each column describes one call site.  The columns
+    are read-only numpy arrays, so every layer — wire codec, content
+    hash, emulator — reads them without building a per-site object.
 
     Attributes:
-        api_id: the framework API invoked.
+        api_id: the framework API invoked (int64).
         rate_multiplier: scales the API's SDK base invocation rate for
             this app (how intensely this app exercises the API).
         reach_quantile: UI depth of the call site in [0, 1]; the site is
@@ -72,17 +78,56 @@ class ApiCallSite:
             coverage (RAC) reaches this quantile.
     """
 
-    api_id: int
-    rate_multiplier: float = 1.0
-    reach_quantile: float = 0.0
+    api_id: np.ndarray = ()
+    rate_multiplier: np.ndarray = ()
+    reach_quantile: np.ndarray = ()
 
     def __post_init__(self):
-        if self.api_id < 0:
+        try:
+            ids = np.array(self.api_id, dtype=np.int64)
+            # float() per value, not np.array: that would read None as NaN.
+            rates = np.fromiter(map(float, self.rate_multiplier), np.float64)
+            reach = np.fromiter(map(float, self.reach_quantile), np.float64)
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"bad call_sites column: {exc}") from exc
+        if ids.ndim != 1:
+            raise ValueError("api_id must be a flat column")
+        if not len(ids) == len(rates) == len(reach):
+            raise ValueError(
+                f"call_sites columns differ in length: api_id={len(ids)}, "
+                f"rate_multiplier={len(rates)}, reach_quantile={len(reach)}"
+            )
+        if (ids < 0).any():
             raise ValueError("api_id must be non-negative")
-        if self.rate_multiplier <= 0:
+        # NaN compares false, so a NaN rate passes (it never fires).
+        if (rates <= 0).any():
             raise ValueError("rate_multiplier must be positive")
-        if not 0.0 <= self.reach_quantile <= 1.0:
+        if not ((reach >= 0.0) & (reach <= 1.0)).all():
             raise ValueError("reach_quantile must be in [0, 1]")
+        ordered = np.sort(ids)
+        dup = ordered[1:][ordered[1:] == ordered[:-1]]
+        if dup.size:
+            raise ValueError(
+                f"duplicate call site for api_id={dup[0]}; "
+                "merge rate multipliers instead"
+            )
+        for f, column in zip(fields(self), (ids, rates, reach)):
+            column.flags.writeable = False
+            object.__setattr__(self, f.name, column)
+
+    def __len__(self) -> int:
+        return len(self.api_id)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CallSites):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.api_id.tobytes())
 
 
 @dataclass(frozen=True)
@@ -104,7 +149,7 @@ class DexCode:
             invoke fewer APIs even on the hardened emulator (§4.2).
     """
 
-    call_sites: tuple[ApiCallSite, ...] = field(default_factory=tuple)
+    call_sites: CallSites = field(default_factory=CallSites)
     reflection_api_ids: tuple[int, ...] = field(default_factory=tuple)
     sent_intents: tuple[str, ...] = field(default_factory=tuple)
     native_libs: tuple[NativeLib, ...] = field(default_factory=tuple)
@@ -113,20 +158,10 @@ class DexCode:
     obfuscated: bool = False
     needs_live_sensors: bool = False
 
-    def __post_init__(self):
-        seen = set()
-        for site in self.call_sites:
-            if site.api_id in seen:
-                raise ValueError(
-                    f"duplicate call site for api_id={site.api_id}; "
-                    "merge rate multipliers instead"
-                )
-            seen.add(site.api_id)
-
     @property
     def direct_api_ids(self) -> tuple[int, ...]:
         """APIs with at least one direct call site (sorted)."""
-        return tuple(sorted(s.api_id for s in self.call_sites))
+        return tuple(np.sort(self.call_sites.api_id).tolist())
 
     @property
     def has_arm_native_code(self) -> bool:
@@ -139,9 +174,3 @@ class DexCode:
             lib.isa is NativeIsa.ARM and not lib.houdini_compatible
             for lib in self.native_libs
         )
-
-    def site_for(self, api_id: int) -> ApiCallSite | None:
-        for site in self.call_sites:
-            if site.api_id == api_id:
-                return site
-        return None

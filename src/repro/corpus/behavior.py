@@ -17,7 +17,7 @@ import numpy as np
 from repro.android.apk import Apk
 from repro.android.components import Activity, BroadcastReceiver, Service
 from repro.android.dex import (
-    ApiCallSite,
+    CallSites,
     DexCode,
     EmulatorProbe,
     NativeIsa,
@@ -113,9 +113,11 @@ class AppBlueprint:
             services=services,
             receivers=receivers,
         )
-        call_sites = tuple(
-            ApiCallSite(api_id=api_id, rate_multiplier=mult, reach_quantile=q)
-            for api_id, (mult, q) in sorted(self.direct_calls.items())
+        api_ids = sorted(self.direct_calls)
+        call_sites = CallSites(
+            api_ids,
+            [self.direct_calls[a][0] for a in api_ids],
+            [self.direct_calls[a][1] for a in api_ids],
         )
         native_libs = ()
         if self.native_arm:

@@ -88,11 +88,8 @@ def _active_sites(
     entry screens (deep sites vanish).
     """
     sites = apk.dex.call_sites
-    if not sites:
-        return np.empty(0, dtype=int), np.empty(0)
-    api_ids = np.array([s.api_id for s in sites], dtype=int)
-    mults = np.array([s.rate_multiplier for s in sites])
-    reach = np.array([s.reach_quantile for s in sites])
+    api_ids = sites.api_id
+    reach = sites.reach_quantile
     active = reach <= achieved_rac
     # Apps built against a newer SDK may call APIs this runtime image
     # does not have; those calls simply never resolve here.
@@ -110,8 +107,7 @@ def _active_sites(
         else:
             active &= reach <= 0.35
     api_ids = api_ids[active]
-    mults = mults[active]
-    return api_ids, sdk.base_rates[api_ids] * mults
+    return api_ids, sdk.base_rates[api_ids] * sites.rate_multiplier[active]
 
 
 def emulate_app(
@@ -159,9 +155,10 @@ def emulate_app(
     lam = rates * run.n_events
     noise = rng.lognormal(mean=-0.12**2 / 2, sigma=0.12, size=lam.size)
     counts = np.maximum(np.rint(lam * noise), (lam > 0.5).astype(float))
-    invocation_counts = {
-        int(a): int(c) for a, c in zip(api_ids, counts) if c > 0
-    }
+    fired = counts > 0
+    invocation_counts = dict(
+        zip(api_ids[fired].tolist(), map(int, counts[fired].tolist()))
+    )
 
     hook_records, hook_seconds = hooks.intercept(invocation_counts, rng)
 

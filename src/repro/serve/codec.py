@@ -14,9 +14,11 @@ as three parallel columns — ``{"api_id": [...], "rate_multiplier":
 Call sites are most of a payload (~365 per app), so the columns halve
 its size and its ``json.loads`` time.  :func:`apk_from_dict` reads
 version 1 (a list of site objects) as well, so version-1 bodies and
-WAL records written before the change still decode.  Either way every
-site is built through :class:`~repro.android.dex.ApiCallSite` and the
-content md5 is recomputed and compared with the recorded one.
+WAL records written before the change still decode.  Either way the
+sites are decoded into one validated
+:class:`~repro.android.dex.CallSites` (three numpy columns, no object
+per site) and the content md5 is recomputed and compared with the
+recorded one.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import json
 from repro.android.apk import Apk
 from repro.android.components import Activity, BroadcastReceiver, Service
 from repro.android.dex import (
-    ApiCallSite,
+    CallSites,
     DexCode,
     EmulatorProbe,
     NativeIsa,
@@ -93,9 +95,9 @@ def apk_to_dict(apk: Apk) -> dict:
         },
         "dex": {
             "call_sites": {
-                "api_id": [s.api_id for s in d.call_sites],
-                "rate_multiplier": [s.rate_multiplier for s in d.call_sites],
-                "reach_quantile": [s.reach_quantile for s in d.call_sites],
+                "api_id": d.call_sites.api_id.tolist(),
+                "rate_multiplier": d.call_sites.rate_multiplier.tolist(),
+                "reach_quantile": d.call_sites.reach_quantile.tolist(),
             },
             "reflection_api_ids": list(d.reflection_api_ids),
             "sent_intents": list(d.sent_intents),
@@ -155,26 +157,15 @@ def claimed_md5(record: dict) -> str | None:
     return None
 
 
-def _call_sites(sites, version: int) -> tuple[ApiCallSite, ...]:
+def _call_sites(sites, version: int) -> CallSites:
     if version == 1:
-        return tuple(
-            ApiCallSite(
-                api_id=int(s["api_id"]),
-                rate_multiplier=float(s["rate_multiplier"]),
-                reach_quantile=float(s["reach_quantile"]),
-            )
-            for s in sites
+        return CallSites(
+            [s["api_id"] for s in sites],
+            [s["rate_multiplier"] for s in sites],
+            [s["reach_quantile"] for s in sites],
         )
-    ids = sites["api_id"]
-    rates = sites["rate_multiplier"]
-    reaches = sites["reach_quantile"]
-    if not len(ids) == len(rates) == len(reaches):
-        raise ValueError(
-            f"call_sites columns differ in length: api_id={len(ids)}, "
-            f"rate_multiplier={len(rates)}, reach_quantile={len(reaches)}"
-        )
-    return tuple(
-        map(ApiCallSite, map(int, ids), map(float, rates), map(float, reaches))
+    return CallSites(
+        sites["api_id"], sites["rate_multiplier"], sites["reach_quantile"]
     )
 
 
@@ -183,8 +174,9 @@ def apk_from_dict(record: dict) -> Apk:
 
     Raises:
         ValueError: unsupported codec version, ``call_sites`` columns
-            of unequal length, or the rebuilt content hash does not
-            match the recorded ``md5`` (corrupt payload).
+            of unequal length or with invalid values, or the rebuilt
+            content hash does not match the recorded ``md5`` (corrupt
+            payload).
     """
     version = record.get("v")
     if type(version) is not int or version not in READABLE_VERSIONS:

@@ -234,19 +234,34 @@ class SubmissionQueue:
             os.fsync(self._wal.fileno())
 
     def _replay(self) -> None:
-        """Rebuild queue state from the WAL (crash recovery)."""
+        """Rebuild queue state from the WAL (crash recovery).
+
+        A process killed inside :meth:`_append` can leave a torn final
+        record: a last line with no newline that does not parse.  It
+        was never acknowledged, so it is dropped, counted in
+        ``serve_wal_torn_records_total``, and cut off the file before
+        the next append could glue a record onto it.  A final record
+        that parses but lacks its newline is kept and terminated.  Any
+        other line that does not parse is corruption and raises.
+        """
         accepted: dict[int, SubmissionRecord] = {}
-        with self._wal_path.open("r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
+        intact = 0  # bytes through the last line read
+        with self._wal_path.open("rb") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                intact += len(raw)
+                line = raw.strip()
                 if not line:
                     continue
                 try:
                     record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(
-                        f"{self._wal_path}:{line_no}: malformed WAL line"
-                    ) from exc
+                except ValueError as exc:
+                    if raw.endswith(b"\n"):
+                        raise ValueError(
+                            f"{self._wal_path}:{line_no}: malformed WAL line"
+                        ) from exc
+                    os.truncate(self._wal_path, intact - len(raw))
+                    self.registry.inc("serve_wal_torn_records_total")
+                    break
                 kind = record.get("type")
                 if kind == "submit":
                     entry = self._replay_submit(record, line_no)
@@ -265,6 +280,10 @@ class SubmissionQueue:
                         f"{self._wal_path}:{line_no}: unknown WAL record "
                         f"type {kind!r}"
                     )
+            else:
+                if intact and not raw.endswith(b"\n"):
+                    with self._wal_path.open("ab") as tail:
+                        tail.write(b"\n")
         replayed = 0
         for seq in sorted(accepted):
             entry = accepted[seq]

@@ -1,11 +1,13 @@
 """Tests for components, manifest, dex, and APK models."""
 
+import hashlib
+
 import pytest
 
 from repro.android.apk import Apk
 from repro.android.components import Activity, BroadcastReceiver, Service
 from repro.android.dex import (
-    ApiCallSite,
+    CallSites,
     DexCode,
     EmulatorProbe,
     NativeIsa,
@@ -36,7 +38,7 @@ def make_manifest(**kwargs):
 def make_apk(**kwargs):
     defaults = dict(
         manifest=make_manifest(),
-        dex=DexCode(call_sites=(ApiCallSite(3, 1.0, 0.2),)),
+        dex=DexCode(call_sites=CallSites([3], [1.0], [0.2])),
         is_malicious=False,
         family="tool",
     )
@@ -97,20 +99,20 @@ def test_manifest_requests():
 
 def test_call_site_validation():
     with pytest.raises(ValueError):
-        ApiCallSite(-1)
+        CallSites([-1], [1.0], [0.0])
     with pytest.raises(ValueError):
-        ApiCallSite(1, rate_multiplier=0.0)
+        CallSites([1], [0.0], [0.0])
     with pytest.raises(ValueError):
-        ApiCallSite(1, reach_quantile=1.5)
+        CallSites([1], [1.0], [1.5])
 
 
 def test_dex_rejects_duplicate_sites():
-    with pytest.raises(ValueError):
-        DexCode(call_sites=(ApiCallSite(1), ApiCallSite(1)))
+    with pytest.raises(ValueError, match="duplicate call site"):
+        DexCode(call_sites=CallSites([1, 1], [1.0, 1.0], [0.0, 0.0]))
 
 
 def test_dex_direct_ids_sorted():
-    dex = DexCode(call_sites=(ApiCallSite(9), ApiCallSite(2), ApiCallSite(5)))
+    dex = DexCode(call_sites=CallSites([9, 2, 5], [1.0] * 3, [0.0] * 3))
     assert dex.direct_api_ids == (2, 5, 9)
 
 
@@ -130,10 +132,11 @@ def test_native_lib_rejects_bad_size():
         NativeLib("a.so", size_mb=0.0)
 
 
-def test_site_for():
-    dex = DexCode(call_sites=(ApiCallSite(4, 2.0, 0.1),))
-    assert dex.site_for(4).rate_multiplier == 2.0
-    assert dex.site_for(5) is None
+def test_call_site_columns():
+    dex = DexCode(call_sites=CallSites([4], [2.0], [0.1]))
+    sites = dex.call_sites
+    assert sites.rate_multiplier[sites.api_id == 4].tolist() == [2.0]
+    assert not (sites.api_id == 5).any()
 
 
 # -- apk ----------------------------------------------------------------
@@ -143,8 +146,31 @@ def test_md5_stable_and_content_sensitive():
     a = make_apk()
     b = make_apk()
     assert a.md5 == b.md5
-    c = make_apk(dex=DexCode(call_sites=(ApiCallSite(3, 1.5, 0.2),)))
+    c = make_apk(dex=DexCode(call_sites=CallSites([3], [1.5], [0.2])))
     assert a.md5 != c.md5
+
+
+def test_md5_call_site_text_matches_per_site_reference():
+    # The digest text is formatted from the columns in one go; it must
+    # be byte for byte the per-site f-string it replaced.
+    ids = [0, 7, 2**40]
+    rates = [float("nan"), 1e21, 1 / 3]
+    reach = [-0.0, 0.5, 1.0]
+    apk = make_apk(dex=DexCode(call_sites=CallSites(ids, rates, reach)))
+    h = hashlib.md5()
+    h.update(b"com.example.app")
+    h.update(b"1")
+    h.update(b"android.permission.INTERNET")
+    h.update(b"A0,A1")
+    h.update(
+        "".join(
+            f"{a}:{r:.6f}:{q:.6f};" for a, r, q in zip(ids, rates, reach)
+        ).encode()
+    )
+    h.update(b"")  # reflection ids
+    h.update(b"")  # sent intents
+    h.update(b"")  # native libs
+    assert apk.md5 == h.hexdigest()
 
 
 def test_md5_changes_with_version():

@@ -180,7 +180,7 @@ def test_sample_repackaged_grafts_payload_signature(generator, catalog):
     apk = generator.sample_repackaged("game", "sms_fraud")
     assert apk.is_malicious
     signature = set(int(x) for x in catalog.signature_of("sms_fraud"))
-    called = {site.api_id for site in apk.dex.call_sites}
+    called = set(apk.dex.call_sites.api_id.tolist())
     assert signature & called, "no payload signature APIs in the clone"
 
 
@@ -200,7 +200,7 @@ def test_sample_evasive_hides_signature_behind_reflection(
     for _ in range(5):
         apk = generator.sample_evasive("update_attack", hide_signature=True)
         assert apk.dex.uses_dynamic_loading
-        called = {site.api_id for site in apk.dex.call_sites}
+        called = set(apk.dex.call_sites.api_id.tolist())
         assert not (signature & called), "signature API left in the open"
         hits += len(signature & set(apk.dex.reflection_api_ids))
     assert hits > 0, "no signature APIs moved behind reflection"

@@ -10,6 +10,45 @@ from repro.serve.codec import (
     apk_to_dict,
     claimed_md5,
 )
+from repro.serve.http import parse_submission
+
+INF = float("inf")
+NAN = float("nan")
+
+#: What ``POST /v1/submit`` makes of an odd value in the first call
+#: site of one app: the md5 the decoded app hashes to, or None for a
+#: 400.  These are the answers of the per-site decoder the columns
+#: replaced, kept value for value, except an api_id of 2**70: that one
+#: used to decode and then crash the emulator, and now gets a 400.
+ODD_SITE_VALUES = [
+    ("api_id", 3.5, "52df482e6d4eabd802021f0c85862bce"),
+    ("api_id", "3", "52df482e6d4eabd802021f0c85862bce"),
+    ("api_id", True, "e565edaf5967a5d270f5c1a663f7ab98"),
+    ("api_id", 2**70, None),
+    ("api_id", None, None),
+    ("api_id", "x", None),
+    ("api_id", NAN, None),
+    ("api_id", INF, None),
+    ("api_id", -INF, None),
+    ("rate_multiplier", 3.5, "aa36a17aa0cbce71fc167fe146ec89a0"),
+    ("rate_multiplier", "3", "a49cb9d3bbccb70c95a19793883edb43"),
+    ("rate_multiplier", True, "6e481d5f029fb373beed4a6a1d431bb1"),
+    ("rate_multiplier", 2**70, "f00a5bd597e2e20f34f583e100c26432"),
+    ("rate_multiplier", None, None),
+    ("rate_multiplier", "x", None),
+    ("rate_multiplier", NAN, "3faeb362ac4145d26263040ad3047f67"),
+    ("rate_multiplier", INF, "e3a713bb329feba2d9e6b1d21d4fba04"),
+    ("rate_multiplier", -INF, None),
+    ("reach_quantile", 3.5, None),
+    ("reach_quantile", "3", None),
+    ("reach_quantile", True, "3b21f974c57804979e6fd155fc21ce58"),
+    ("reach_quantile", 2**70, None),
+    ("reach_quantile", None, None),
+    ("reach_quantile", "x", None),
+    ("reach_quantile", NAN, None),
+    ("reach_quantile", INF, None),
+    ("reach_quantile", -INF, None),
+]
 
 
 def _round_trip(apk):
@@ -88,13 +127,13 @@ def test_call_sites_are_columns(generator):
     apk = generator.sample_app()
     sites = apk_to_dict(apk)["dex"]["call_sites"]
     assert sorted(sites) == ["api_id", "rate_multiplier", "reach_quantile"]
-    assert sites["api_id"] == [s.api_id for s in apk.dex.call_sites]
-    assert sites["rate_multiplier"] == [
-        s.rate_multiplier for s in apk.dex.call_sites
-    ]
-    assert sites["reach_quantile"] == [
-        s.reach_quantile for s in apk.dex.call_sites
-    ]
+    assert sites["api_id"] == apk.dex.call_sites.api_id.tolist()
+    assert sites["rate_multiplier"] == (
+        apk.dex.call_sites.rate_multiplier.tolist()
+    )
+    assert sites["reach_quantile"] == (
+        apk.dex.call_sites.reach_quantile.tolist()
+    )
 
 
 @pytest.mark.parametrize(
@@ -130,3 +169,21 @@ def test_claimed_md5_accepts_only_lowercase_hex(generator):
         assert claimed_md5(record) is None
     record.pop("md5")
     assert claimed_md5(record) is None
+
+
+@pytest.mark.parametrize(
+    "column,value,md5",
+    ODD_SITE_VALUES,
+    ids=[f"{c}={v!r}" for c, v, _ in ODD_SITE_VALUES],
+)
+def test_odd_call_site_values_keep_their_answers(generator, column, value, md5):
+    record = apk_to_dict(generator.sample_app(malicious=True))
+    record.pop("md5")
+    record["dex"]["call_sites"][column][0] = value
+    body = json.dumps({"apk": record}).encode()
+    if md5 is None:
+        # ValueError is what the submit handler answers 400 for.
+        with pytest.raises(ValueError, match="bad submission"):
+            parse_submission(body)
+    else:
+        assert parse_submission(body)[0].md5 == md5

@@ -22,13 +22,14 @@ def v1_wire(apk) -> dict:
     """The version-1 wire dict: one object per call site."""
     wire = apk_to_dict(apk)
     wire["v"] = 1
+    sites = apk.dex.call_sites
     wire["dex"]["call_sites"] = [
-        {
-            "api_id": site.api_id,
-            "rate_multiplier": site.rate_multiplier,
-            "reach_quantile": site.reach_quantile,
-        }
-        for site in apk.dex.call_sites
+        {"api_id": a, "rate_multiplier": r, "reach_quantile": q}
+        for a, r, q in zip(
+            sites.api_id.tolist(),
+            sites.rate_multiplier.tolist(),
+            sites.reach_quantile.tolist(),
+        )
     ]
     return wire
 

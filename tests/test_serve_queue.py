@@ -4,6 +4,10 @@ import json
 
 import pytest
 
+from repro.android.apk import Apk
+from repro.android.components import Activity
+from repro.android.dex import CallSites, DexCode
+from repro.android.manifest import AndroidManifest
 from repro.obs import MetricsRegistry
 from repro.serve.queue import (
     LANE_BULK,
@@ -236,6 +240,75 @@ def test_malformed_wal_line_is_rejected(tmp_path):
     spool.mkdir()
     (spool / "queue.wal").write_text("{not json\n", encoding="utf-8")
     with pytest.raises(ValueError, match="malformed WAL"):
+        SubmissionQueue(spool)
+
+
+def _tiny_apk(name: str) -> Apk:
+    """A hand-built app whose WAL record is small enough to cut at
+    every byte."""
+    return Apk(
+        manifest=AndroidManifest(
+            package_name=f"com.example.{name}",
+            version_code=1,
+            activities=(Activity("Main", referenced=True),),
+        ),
+        dex=DexCode(call_sites=CallSites([3, 7], [1.5, 0.25], [0.0, 0.5])),
+        is_malicious=False,
+        family="tool",
+    )
+
+
+@pytest.mark.parametrize("final", ["done", "submit"])
+def test_torn_final_wal_record_is_dropped_at_every_offset(tmp_path, final):
+    a, b, c = (_tiny_apk(name) for name in ("alpha", "beta", "gamma"))
+    spool = tmp_path / "spool"
+    with SubmissionQueue(spool) as q:
+        q.submit(a)
+        if final == "done":
+            q.submit(b)
+        q.mark_done(q.take(timeout=0), {"status": "done"})
+        if final == "submit":
+            q.submit(b)
+    wal = spool / "queue.wal"
+    full = wal.read_bytes()
+    start = full.rindex(b"\n", 0, len(full) - 1) + 1
+    for cut in range(start, len(full) + 1):
+        wal.write_bytes(full[:cut])
+        kept = cut >= len(full) - 1  # whole record, newline or not
+        torn = start < cut < len(full) - 1
+        registry = MetricsRegistry()
+        q = SubmissionQueue(spool, registry=registry)
+        assert registry.value("serve_wal_torn_records_total") == torn
+        # Exactly once: every acknowledged md5 is either terminal or
+        # pending, never both; a torn submit was never acknowledged.
+        if final == "done":
+            done = {a.md5} if kept else set()
+            pending = {a.md5, b.md5} - done
+        else:
+            done = {a.md5}
+            pending = {b.md5} if kept else set()
+        assert set(q.completed) == done, cut
+        assert q.pending_md5s() == pending, cut
+        # seq continues after the last intact acceptance record.
+        fresh = q.submit(c)
+        assert fresh.seq == (3 if final == "done" or kept else 2), cut
+        q.close()
+        registry = MetricsRegistry()
+        with SubmissionQueue(spool, registry=registry) as q:
+            assert registry.value("serve_wal_torn_records_total") == 0
+            assert set(q.completed) == done
+            assert q.pending_md5s() == pending | {c.md5}
+        assert wal.read_bytes().endswith(b"\n")
+
+
+def test_mid_file_wal_garbage_is_rejected(tmp_path, apps):
+    spool = tmp_path / "spool"
+    with SubmissionQueue(spool) as q:
+        q.submit(apps[0])
+    wal = spool / "queue.wal"
+    good = wal.read_bytes()
+    wal.write_bytes(b"{not json\n" + good[:-1])
+    with pytest.raises(ValueError, match=":1: malformed WAL"):
         SubmissionQueue(spool)
 
 
