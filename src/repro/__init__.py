@@ -86,12 +86,8 @@ from repro.scenarios import (
     Campaign,
     CampaignReport,
     CampaignRunner,
-    DriftDayReport,
-    DriftYearReport,
-    DriftYearRunner,
     bundled_campaigns,
     campaign_by_name,
-    replay_drift_year,
     run_campaign,
 )
 from repro.serve import (
@@ -126,12 +122,9 @@ __all__ = [
     "CampaignRunner",
     "CorpusGenerator",
     "DaySlice",
-    "DriftDayReport",
     "DriftEvent",
     "DriftMonitorBank",
     "DriftTriggeredPolicy",
-    "DriftYearReport",
-    "DriftYearRunner",
     "DriftingMarket",
     "DriftingMarketStream",
     "DynamicAnalysisEngine",
@@ -190,7 +183,6 @@ __all__ = [
     "make_server",
     "mine_ruleset",
     "poison_labels",
-    "replay_drift_year",
     "rolling_time_windows",
     "run_campaign",
     "select_key_apis",

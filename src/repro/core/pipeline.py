@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+import traceback
 from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -344,6 +345,20 @@ class VettingPipeline:
         except AnalysisFailure as exc:
             outcome = exc
             minutes = exc.wasted_minutes
+        except Exception as exc:
+            # Content the emulator cannot run at all (say, an infinite
+            # call rate that overflows the invocation count) fails this
+            # app alone; its batch-mates and the caller carry on.  The
+            # reason names the error and the frame that raised it.
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            outcome = AnalysisFailure(
+                f"analysis of {apk.package_name} raised "
+                f"{type(exc).__name__} at {Path(where.filename).name}:"
+                f"{where.lineno}: {exc}",
+                apk_md5=apk.md5,
+                attempts=1,
+            )
+            minutes = 0.0
         if self.pace_seconds_per_minute:
             time.sleep(minutes * self.pace_seconds_per_minute)
         # Slot-occupancy wall time of the app (pace included).

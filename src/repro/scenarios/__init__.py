@@ -1,15 +1,18 @@
-"""Adversarial campaign simulation over the online serving tier.
+"""Multi-day traffic replay over the online serving tier.
 
 ``repro.scenarios`` turns the repo's corpus generator and serving stack
-into a red-team harness: declarative, seeded :class:`Campaign` specs
-describe multi-day attack timelines (repackaging waves, evasion arms
-races, hidden loaders, label poisoning, admission floods), and
-:class:`CampaignRunner` replays them through the real
+into a red-team and drift harness: declarative, seeded
+:class:`Campaign` specs describe multi-day attack timelines
+(repackaging waves, evasion arms races, hidden loaders, label
+poisoning, admission floods), and :func:`plan_market_days` turns a
+drifting market's day slices into the same day-by-day schedule.  One
+runner, :class:`CampaignRunner`, replays either through the real
 :class:`~repro.serve.service.OnlineVettingService` or multi-shard
 :class:`~repro.serve.shard.ShardRouter`, producing a structured
-:class:`CampaignReport` of per-day precision/recall, latency
-percentiles, backpressure counts, rules-explanation coverage, and
-model-evolution decisions.
+:class:`CampaignReport` of per-day precision/recall/F1, latency
+percentiles, backpressure counts, rules-explanation coverage,
+model-evolution decisions and, with drift monitors on, each day's
+drift-monitor state.
 """
 
 from repro.scenarios.campaign import (
@@ -18,15 +21,13 @@ from repro.scenarios.campaign import (
     bundled_campaigns,
     campaign_by_name,
 )
-from repro.scenarios.driftyear import (
-    DriftDayReport,
-    DriftYearReport,
-    DriftYearRunner,
-    replay_drift_year,
-)
 from repro.scenarios.report import CampaignReport, DayReport
 from repro.scenarios.runner import CampaignRunner, run_campaign
-from repro.scenarios.traffic import PlannedSubmission, plan_traffic
+from repro.scenarios.traffic import (
+    PlannedSubmission,
+    plan_market_days,
+    plan_traffic,
+)
 
 __all__ = [
     "AttackWave",
@@ -34,13 +35,10 @@ __all__ = [
     "CampaignReport",
     "CampaignRunner",
     "DayReport",
-    "DriftDayReport",
-    "DriftYearReport",
-    "DriftYearRunner",
     "PlannedSubmission",
     "bundled_campaigns",
     "campaign_by_name",
+    "plan_market_days",
     "plan_traffic",
-    "replay_drift_year",
     "run_campaign",
 ]

@@ -1,9 +1,10 @@
 """Structured results of a campaign replay.
 
 A :class:`CampaignReport` is what the runner hands back: per-day
-detection quality and serving health, the model-evolution decisions
-taken at day boundaries, and the raw verdict map the determinism test
-compares across shard counts.  Everything is plain data —
+detection quality and serving health (plus the drift monitors' state
+when they ran), the model-evolution decisions taken at day boundaries,
+and the raw verdict map the determinism test compares across shard
+counts.  Everything is plain data —
 ``to_dict()``/``to_json()`` round the whole report into the JSON the
 bench gate and the CLI ``--out`` flag write.
 """
@@ -15,7 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["DayReport", "CampaignReport", "percentile"]
+from repro.ml.metrics import confusion_counts
+
+__all__ = ["DayReport", "CampaignReport", "percentile", "precision_recall_f1"]
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -25,17 +28,25 @@ def percentile(values: list[float], q: float) -> float:
     return float(np.percentile(np.asarray(values, dtype=float), q))
 
 
-def _precision_recall(
+def precision_recall_f1(
     truths: list[bool], predictions: list[bool]
-) -> tuple[float, float]:
-    truth = np.asarray(truths, dtype=bool)
-    pred = np.asarray(predictions, dtype=bool)
-    tp = int(np.sum(truth & pred))
-    fp = int(np.sum(~truth & pred))
-    fn = int(np.sum(truth & ~pred))
+) -> tuple[float, float, float]:
+    """Precision, recall and F1 of served verdicts against labels.
+
+    An empty denominator reads 1.0: a day with nothing flagged has no
+    false alarm, a day without malware has nothing to miss.  (This is
+    where it departs from :func:`repro.ml.metrics.evaluate`, which
+    reads 0.0 for degenerate folds.)
+    """
+    tp, fp, _, fn = confusion_counts(truths, predictions)
     precision = tp / (tp + fp) if tp + fp else 1.0
     recall = tp / (tp + fn) if tp + fn else 1.0
-    return precision, recall
+    f1 = (
+        2 * precision * recall / (precision + recall)
+        if precision + recall
+        else 0.0
+    )
+    return precision, recall, f1
 
 
 @dataclass
@@ -53,9 +64,13 @@ class DayReport:
     n_failed: int = 0
     precision: float = 1.0
     recall: float = 1.0
+    f1: float = 1.0
     latency_p50_s: float = 0.0
     latency_p95_s: float = 0.0
     wave_recall: dict[str, float] = field(default_factory=dict)
+    #: The ``drift`` block of ``healthz()`` after the day's feedback
+    #: (None when the run had no drift monitors).
+    drift: dict | None = None
 
     @property
     def explanation_coverage(self) -> float:
@@ -75,10 +90,12 @@ class DayReport:
             "n_failed": self.n_failed,
             "precision": self.precision,
             "recall": self.recall,
+            "f1": self.f1,
             "explanation_coverage": self.explanation_coverage,
             "latency_p50_s": self.latency_p50_s,
             "latency_p95_s": self.latency_p95_s,
             "wave_recall": dict(self.wave_recall),
+            "drift": self.drift,
         }
 
 
@@ -137,17 +154,35 @@ class CampaignReport:
                 hits += 1
         return hits / total if total else 1.0
 
+    def _overall(self) -> tuple[float, float, float]:
+        return precision_recall_f1(
+            [self.truths[m] for m in self.verdicts],
+            list(self.verdicts.values()),
+        )
+
     @property
     def overall_precision(self) -> float:
-        truths = [self.truths[m] for m in self.verdicts]
-        preds = [self.verdicts[m] for m in self.verdicts]
-        return _precision_recall(truths, preds)[0]
+        return self._overall()[0]
 
     @property
     def overall_recall(self) -> float:
-        truths = [self.truths[m] for m in self.verdicts]
-        preds = [self.verdicts[m] for m in self.verdicts]
-        return _precision_recall(truths, preds)[1]
+        return self._overall()[1]
+
+    @property
+    def first_alarm_day(self) -> int | None:
+        """First day that closed with the drift bank alarmed (None =
+        never, or no drift monitors)."""
+        for day in self.days:
+            if day.drift is not None and day.drift["alarmed"]:
+                return day.day
+        return None
+
+    @property
+    def alarms_total(self) -> int | None:
+        """Drift alarms raised over the run (None without monitors)."""
+        if not self.days or self.days[-1].drift is None:
+            return None
+        return int(self.days[-1].drift["alarms_total"])
 
     @property
     def latency_p50_s(self) -> float:
@@ -182,6 +217,8 @@ class CampaignReport:
                 "recall": self.overall_recall,
                 "latency_p50_s": self.latency_p50_s,
                 "latency_p95_s": self.latency_p95_s,
+                "first_alarm_day": self.first_alarm_day,
+                "alarms_total": self.alarms_total,
             },
             "verdicts": dict(self.verdicts),
             "truths": dict(self.truths),

@@ -1,6 +1,11 @@
-"""Replay a campaign through the real online serving tier.
+"""Replay planned days of traffic through the real online serving tier.
 
-:class:`CampaignRunner` is deliberately *not* a simulator shortcut: it
+:class:`CampaignRunner` is the one scenario runner: an adversarial
+campaign and a drifting market year both reach it as a day-by-day
+schedule of :class:`~repro.scenarios.traffic.PlannedSubmission` s
+(:func:`~repro.scenarios.traffic.plan_traffic` /
+:func:`~repro.scenarios.traffic.plan_market_days`).  It is
+deliberately *not* a simulator shortcut: it
 publishes the trained model into a real
 :class:`~repro.serve.registry.ModelRegistry`, stands up either a single
 in-process :class:`~repro.serve.service.OnlineVettingService`
@@ -19,6 +24,13 @@ label-poisoned) on everything served so far is folded into the training
 set, a candidate is fitted and gated against the live model, and a
 promoted candidate is rolled out — a hot swap in-process, a rolling
 kill/replay/restart across shards.
+
+With ``drift_monitors`` on, the in-process service runs a
+:class:`~repro.drift.detectors.DriftMonitorBank` whose PSI reference is
+the training observations under the serving model's feature space;
+after each day the runner replays the day's review labels through
+``record_feedback`` (the labeled-lag stream) and snapshots the
+``drift`` block of ``healthz()`` into the day report.
 """
 
 from __future__ import annotations
@@ -32,11 +44,17 @@ import numpy as np
 from repro.core.checker import ApiChecker
 from repro.corpus.generator import AppCorpus, CorpusGenerator
 from repro.corpus.market import poison_labels
+from repro.drift.detectors import DriftMonitorBank
 from repro.emulator.device import DeviceEnvironment
 from repro.ml.metrics import evaluate
 from repro.obs import MetricsRegistry
 from repro.scenarios.campaign import Campaign
-from repro.scenarios.report import CampaignReport, DayReport, percentile
+from repro.scenarios.report import (
+    CampaignReport,
+    DayReport,
+    percentile,
+    precision_recall_f1,
+)
 from repro.scenarios.traffic import PlannedSubmission, plan_traffic
 from repro.serve.queue import QueueFullError
 from repro.serve.registry import ModelRegistry, PromotionPolicy
@@ -47,6 +65,19 @@ __all__ = ["CampaignRunner", "run_campaign"]
 
 #: Statuses that mean a submission has left the queue for good.
 _TERMINAL = ("done", "failed")
+
+#: Admission bound when the campaign sets no ``max_depth`` of its own.
+MAX_DEPTH = 10_000
+#: Multiprocessing start method for shard workers.
+MP_START = "spawn"
+#: Max seconds to keep retrying one submission through 429/503
+#: backpressure before declaring it lost (which raises — losing
+#: submissions is a harness failure).
+SUBMIT_TIMEOUT_S = 60.0
+#: Max seconds to wait for one day's verdicts.
+VERDICT_TIMEOUT_S = 600.0
+#: Seconds between result polls while a day's verdicts are outstanding.
+POLL_S = 0.05
 
 
 class CampaignRunner:
@@ -62,21 +93,23 @@ class CampaignRunner:
             catalog the training corpus came from so campaign traffic
             and the trained model share one behaviour world; defaults
             to the fresh generator's own.
+        schedule: the days to replay, one list of submissions per day
+            (e.g. :func:`~repro.scenarios.traffic.plan_market_days`);
+            must hold ``campaign.days`` days.  ``None`` (default) plans
+            the campaign's own traffic with
+            :func:`~repro.scenarios.traffic.plan_traffic`.
         shards: 1 = in-process service, >= 2 = multi-process router.
         workers / batch_size: per-service dispatch configuration.
-        max_depth: admission bound; the campaign's own ``max_depth``
-            (when set) wins.
         train_corpus / train_labels / train_observations: the original
             training set (and optionally its precomputed study
             observations).  Required for ``retrain_day`` campaigns —
             day-boundary retraining folds triage feedback into this
             base; without it the retrain is recorded as skipped.
+        drift_monitors: serve with the default drift monitor bank, its
+            PSI reference fixed from ``train_observations``, and feed
+            each day's labels back through ``record_feedback``.  In
+            process only (``shards=1``).
         workdir: spool + model-artifact root (a temp dir when None).
-        mp_start: multiprocessing start method for shard workers.
-        submit_timeout: max seconds to keep retrying one submission
-            through 429/503 backpressure before declaring it lost
-            (which raises — losing submissions is a harness failure).
-        verdict_timeout: max seconds to wait for one day's verdicts.
     """
 
     def __init__(
@@ -85,30 +118,44 @@ class CampaignRunner:
         checker: ApiChecker,
         *,
         catalog=None,
+        schedule: list[list[PlannedSubmission]] | None = None,
         shards: int = 1,
         workers: int = 2,
         batch_size: int = 4,
-        max_depth: int | None = None,
         train_corpus: AppCorpus | None = None,
         train_labels: np.ndarray | None = None,
         train_observations: list | None = None,
+        drift_monitors: bool = False,
         workdir: str | Path | None = None,
-        mp_start: str = "spawn",
-        submit_timeout: float = 60.0,
-        verdict_timeout: float = 600.0,
     ):
         if shards < 1:
             raise ValueError("shards must be >= 1")
+        if schedule is not None and len(schedule) != campaign.days:
+            raise ValueError(
+                f"schedule holds {len(schedule)} day(s); campaign "
+                f"{campaign.name!r} has {campaign.days}"
+            )
+        if drift_monitors and shards > 1:
+            raise ValueError(
+                "drift monitors run on the in-process service only "
+                "(shards=1)"
+            )
+        if drift_monitors and train_observations is None:
+            raise ValueError(
+                "drift monitors need train_observations for the PSI "
+                "reference"
+            )
         self.campaign = campaign
         self.checker = checker
         self.catalog = catalog
+        self.schedule = schedule
         self.shards = shards
         self.workers = workers
         self.batch_size = batch_size
         self.max_depth = (
             campaign.max_depth
             if campaign.max_depth is not None
-            else (max_depth if max_depth is not None else 10_000)
+            else MAX_DEPTH
         )
         self.train_corpus = train_corpus
         self.train_labels = (
@@ -117,14 +164,12 @@ class CampaignRunner:
             else (train_corpus.labels if train_corpus is not None else None)
         )
         self.train_observations = train_observations
+        self.drift_monitors = drift_monitors
         self.workdir = Path(
             workdir
             if workdir is not None
             else tempfile.mkdtemp(prefix=f"campaign-{campaign.name}-")
         )
-        self.mp_start = mp_start
-        self.submit_timeout = submit_timeout
-        self.verdict_timeout = verdict_timeout
 
     # ------------------------------------------------------------------
 
@@ -146,10 +191,12 @@ class CampaignRunner:
             activate=True,
         )
 
-        generator = CorpusGenerator(
-            self.checker.sdk, seed=campaign.seed, catalog=self.catalog
-        )
-        schedule = plan_traffic(campaign, generator)
+        schedule = self.schedule
+        if schedule is None:
+            generator = CorpusGenerator(
+                self.checker.sdk, seed=campaign.seed, catalog=self.catalog
+            )
+            schedule = plan_traffic(campaign, generator)
 
         report = CampaignReport(
             campaign=campaign.to_dict(), shards=self.shards
@@ -160,16 +207,28 @@ class CampaignRunner:
             batch_size=self.batch_size,
             max_depth=self.max_depth,
         )
-        backend = (
-            ShardRouter(
-                models.root,
-                n_shards=self.shards,
-                mp_start=self.mp_start,
+        if self.shards >= 2:
+            backend = ShardRouter(
+                models.root, n_shards=self.shards, mp_start=MP_START, **config
+            )
+        else:
+            monitors = None
+            if self.drift_monitors:
+                # A fixed training reference, as EvolutionLoop sets it:
+                # baselining on the first scored micro-batch would make
+                # the PSI (and every alarm) depend on batch timing.
+                monitors = DriftMonitorBank.default(registry=models.metrics)
+                monitors.set_psi_reference(
+                    serving.feature_space.encode_batch(
+                        self.train_observations
+                    )
+                )
+            backend = OnlineVettingService(
+                models,
+                metrics=models.metrics,
+                drift_monitors=monitors,
                 **config,
             )
-            if self.shards >= 2
-            else OnlineVettingService(models, metrics=models.metrics, **config)
-        )
         history: list[PlannedSubmission] = []
         with backend:
             for day, planned in enumerate(schedule):
@@ -199,7 +258,7 @@ class CampaignRunner:
             if md5 in report.truths:
                 continue  # resubmission of known content; coalesced
             fresh.append(sub)
-            report.truths[md5] = bool(sub.apk.is_malicious)
+            report.truths[md5] = sub.label
             report.waves[md5] = sub.wave
             report.first_day[md5] = day
         day_report.n_unique = len(fresh)
@@ -240,13 +299,9 @@ class CampaignRunner:
                 if malicious:
                     wave_hits[sub.wave] = wave_hits.get(sub.wave, 0) + 1
 
-        truth_arr = np.asarray(truths, dtype=bool)
-        pred_arr = np.asarray(preds, dtype=bool)
-        tp = int(np.sum(truth_arr & pred_arr))
-        fp = int(np.sum(~truth_arr & pred_arr))
-        fn = int(np.sum(truth_arr & ~pred_arr))
-        day_report.precision = tp / (tp + fp) if tp + fp else 1.0
-        day_report.recall = tp / (tp + fn) if tp + fn else 1.0
+        day_report.precision, day_report.recall, day_report.f1 = (
+            precision_recall_f1(truths, preds)
+        )
         day_report.wave_recall = {
             wave: wave_hits.get(wave, 0) / total
             for wave, total in wave_totals.items()
@@ -258,6 +313,12 @@ class CampaignRunner:
         ]
         day_report.latency_p50_s = percentile(day_latencies, 50)
         day_report.latency_p95_s = percentile(day_latencies, 95)
+        if self.drift_monitors:
+            # Labeled-lag feedback: the day's review labels land once
+            # it closes, updating the rolling-F1 monitor.
+            for sub in fresh:
+                backend.record_feedback(sub.apk.md5, sub.label)
+            day_report.drift = backend.healthz()["drift"]
         return day_report
 
     def _submit_with_backoff(
@@ -269,7 +330,7 @@ class CampaignRunner:
         submission is a harness failure, never silently absorbed into
         the detection numbers.
         """
-        deadline = time.monotonic() + self.submit_timeout
+        deadline = time.monotonic() + SUBMIT_TIMEOUT_S
         backoff = 0.05
         while True:
             try:
@@ -282,7 +343,7 @@ class CampaignRunner:
             if time.monotonic() >= deadline:
                 raise RuntimeError(
                     f"submission {sub.apk.md5} lost: backpressure did "
-                    f"not clear within {self.submit_timeout}s"
+                    f"not clear within {SUBMIT_TIMEOUT_S}s"
                 )
             time.sleep(backoff)
             backoff = min(backoff * 2, 1.0)
@@ -298,7 +359,7 @@ class CampaignRunner:
         """Poll every submission to a terminal outcome."""
         outcomes: dict[str, dict] = {}
         outstanding = list(md5s)
-        deadline = time.monotonic() + self.verdict_timeout
+        deadline = time.monotonic() + VERDICT_TIMEOUT_S
         while outstanding:
             if time.monotonic() >= deadline:
                 raise RuntimeError(
@@ -320,7 +381,7 @@ class CampaignRunner:
                     still.append(md5)
             outstanding = still
             if outstanding:
-                time.sleep(0.05)
+                time.sleep(POLL_S)
         return outcomes
 
     # -- model evolution -----------------------------------------------

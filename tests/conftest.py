@@ -85,3 +85,24 @@ def fitted_checker(sdk, corpus, study_observations) -> ApiChecker:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(TEST_SEED + 5)
+
+
+@pytest.fixture()
+def poisoned_record(generator):
+    """Build the wire dict of an app whose every call rate is ``rate``.
+
+    The record carries its correct md5, so a ``/v1`` body made of it
+    decodes; emulating the app then overflows the invocation counts for
+    an infinite or near-``float`` max rate.
+    """
+    from repro.serve.codec import apk_from_dict, apk_to_dict
+
+    def build(rate: float) -> dict:
+        record = apk_to_dict(generator.sample_app(malicious=True))
+        rates = record["dex"]["call_sites"]["rate_multiplier"]
+        record["dex"]["call_sites"]["rate_multiplier"] = [rate] * len(rates)
+        del record["md5"]
+        record["md5"] = apk_from_dict(record).md5
+        return record
+
+    return build

@@ -28,12 +28,9 @@ PUBLIC_API = frozenset(
         "CampaignRunner",
         "CorpusGenerator",
         "DaySlice",
-        "DriftDayReport",
         "DriftEvent",
         "DriftMonitorBank",
         "DriftTriggeredPolicy",
-        "DriftYearReport",
-        "DriftYearRunner",
         "DriftingMarket",
         "DriftingMarketStream",
         "DynamicAnalysisEngine",
@@ -92,7 +89,6 @@ PUBLIC_API = frozenset(
         "make_server",
         "mine_ruleset",
         "poison_labels",
-        "replay_drift_year",
         "rolling_time_windows",
         "run_campaign",
         "select_key_apis",

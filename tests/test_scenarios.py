@@ -1,13 +1,18 @@
-"""Tests for the adversarial campaign simulator (repro.scenarios)."""
+"""Tests for the scenario runner (repro.scenarios): adversarial
+campaigns and the drifting-year replay."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from repro.android.sdk import AndroidSdk, SdkSpec
+from repro.core.checker import ApiChecker
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.market import poison_labels
+from repro.drift.market import DriftingMarket
 from repro.emulator.device import DeviceEnvironment
 from repro.scenarios import (
     AttackWave,
@@ -15,6 +20,7 @@ from repro.scenarios import (
     CampaignRunner,
     bundled_campaigns,
     campaign_by_name,
+    plan_market_days,
     plan_traffic,
 )
 
@@ -126,6 +132,7 @@ def test_plan_traffic_tags_waves_and_lanes(sdk, catalog):
     for day, planned in enumerate(plan):
         for sub in planned:
             assert sub.day == day
+            assert sub.label == sub.apk.is_malicious
             by_wave.setdefault(sub.wave, []).append(sub)
     assert len(by_wave[None]) == campaign.days * campaign.baseline_per_day
     assert len(by_wave["flood"]) == 64
@@ -347,3 +354,163 @@ def test_campaign_verdicts_identical_across_shard_counts(
     assert single.verdict_set() == sharded.verdict_set()
     assert single.shards == 1 and sharded.shards == 2
     assert sharded.lost == 0
+
+
+# ----------------------------------------------------------------------
+# Drifting-year replay
+# ----------------------------------------------------------------------
+
+#: Per day of the smoke drifting year below, as the standalone
+#: drift-year runner this one replaced reported it: (n_submitted,
+#: n_flagged, precision, recall, f1, sha256 of the sorted (md5,
+#: verdict, review label) triples).  That runner read an empty
+#: precision or recall denominator as 0.0; the campaign convention
+#: reads it as 1.0, which is the one difference allowed below.
+DRIFT_YEAR_DAYS = [
+    (12, 0, 0.0, 0.0, 0.0, "4406412d9e96619caa10370abee0d79463cfcf9123f7fbd2e4ae3139343f3e47"),
+    (12, 2, 1.0, 1.0, 1.0, "0f8fa7cb65e88d0d38bff68dcc8ab28dd18ff1151672aa2d6edf51f203c22db5"),
+    (12, 2, 1.0, 1.0, 1.0, "74accd5a99a1b6c817395d540c485a39928a808aff885a8b93a1c7e518108e2a"),
+    (12, 0, 0.0, 0.0, 0.0, "e46c40b55c585472ac26164c6b47fe5b93a4ba6475672e356d72f709eca26b9f"),
+    (12, 2, 1.0, 1.0, 1.0, "2b5b527311db0fabf2685db79ee8ff77e028953abb0367fcf25fea8919e16aee"),
+    (12, 0, 0.0, 0.0, 0.0, "6f80283c75c5ebcc5ab6d29b032b4c2d7313d4fe526bda29c7cb23296afe9c6b"),
+    (12, 0, 0.0, 0.0, 0.0, "1e97ef00308b1fa535ed8cd5d49eb739850f0337096317dbdedae90d5f37e0ad"),
+    (12, 1, 1.0, 1.0, 1.0, "e60dc4d5dfef491d7d613127855c0d79ff9e22c8cf5833ff8ee6e2fdca154d9b"),
+    (12, 2, 0.5, 1.0, 0.6666666666666666, "cf724b7e8ba36fbcaac25f7892f920fa7c9d0e73c73b9877af4f064bf78c6e3f"),
+    (12, 0, 0.0, 0.0, 0.0, "7469b80a6ad5dfd0a99a9531ff5d9080755a8ae3c516afa8c6722f3c011a080b"),
+    (12, 3, 0.6666666666666666, 1.0, 0.8, "c3e24e609f2bdcfee444661c2e2a52725532b6d669cae74aef8e8eaf934f0247"),
+    (12, 0, 0.0, 0.0, 0.0, "b900db448cdf16c5b5f3f7aa6ace510739899751a810035534d52abe6519753e"),
+    (12, 1, 0.0, 0.0, 0.0, "523d47086d49da3c72b8f6b3c2298b4a2ce74a6a503e6a396bea4bd3918ec419"),
+    (12, 1, 1.0, 1.0, 1.0, "7d7c93d0bafbae5f73c3175384a47da67b944ae31cc30b20f75aafa0167e0781"),
+    (12, 0, 0.0, 0.0, 0.0, "fef403317447fd06e6b2ec30f3e20e93f5bd3669a91fa773ac8af6dd15f709d9"),
+    (12, 0, 0.0, 0.0, 0.0, "5ed2eeae6b4d1ab62f909b5414705da099db04d168bf94260722e615f7fc475c"),
+    (12, 0, 0.0, 0.0, 0.0, "3adc3b35f2a6898e856e5d0cc9506cb3020b376f97473c2282afe14aab447e1d"),
+    (12, 2, 0.0, 0.0, 0.0, "9fdc00d5d1a1236b40f543e7583dd123909018344138df8c73bc336bed4a5b41"),
+    (12, 1, 1.0, 1.0, 1.0, "59e958c86e6474c725ba841cf0790a387401de7d9df73c43ff0d5c2d1d96476d"),
+    (12, 2, 1.0, 1.0, 1.0, "77592e24c439378783999b5f1ea9dbda08edbfbf11e420a15722ccece7d5d7f9"),
+    (12, 0, 0.0, 0.0, 0.0, "d4b32ccf78dcdca801a89f3f099fb674a2996815dc0eb5e480a88788fda01741"),
+    (12, 1, 1.0, 0.5, 0.6666666666666666, "130435fa080b1c8763f15dc55a02534eb34abd533a8a46f9ba54f2a4e1295618"),
+    (12, 0, 0.0, 0.0, 0.0, "4c56f93d138286dd927ba5d9512162df117a3e15030d843b48c9f2ee044e0ef4"),
+    (12, 0, 0.0, 0.0, 0.0, "87aeb1e090e452841218d86c9a1ffeafc3ababee500d8944c67d5a7fd71faa77"),
+]
+
+
+def _replay_drift_year(workdir, batch_size):
+    """A smoke drifting year (24 days x 12 apps) through the runner."""
+    sdk = AndroidSdk.generate(SdkSpec(n_apis=1400, seed=11))
+    market = DriftingMarket(
+        sdk, seed=5, apps_per_day=12, days=24, sdk_release_every=10,
+        fashion_shift_every=8, new_family_days=(12,),
+    )
+    boot = market.bootstrap(200)
+    checker = ApiChecker(market.sdk, seed=0)
+    observations = checker.study_engine().observations(boot)
+    checker.fit(boot, study_observations=observations)
+    campaign = Campaign(
+        name="drift-year", description="smoke drifting year", seed=5,
+        days=24, baseline_per_day=12,
+    )
+    return CampaignRunner(
+        campaign,
+        checker,
+        schedule=plan_market_days(market, campaign.days),
+        batch_size=batch_size,
+        train_corpus=boot,
+        train_observations=observations,
+        drift_monitors=True,
+        workdir=workdir,
+    ).run()
+
+
+@pytest.fixture(scope="module")
+def drift_year(tmp_path_factory):
+    return _replay_drift_year(tmp_path_factory.mktemp("drift-year"), 8)
+
+
+def test_drift_year_matches_the_standalone_replay(drift_year):
+    report = drift_year
+    assert len(report.days) == len(DRIFT_YEAR_DAYS)
+    for day, pinned in zip(report.days, DRIFT_YEAR_DAYS):
+        md5s = [m for m, d in report.first_day.items() if d == day.day]
+        triples = sorted(
+            (m, report.verdicts[m], report.truths[m]) for m in md5s
+        )
+        digest = hashlib.sha256(repr(triples).encode()).hexdigest()
+        assert (day.n_submitted, day.n_flagged, digest) == (
+            pinned[0], pinned[1], pinned[5]
+        ), day.day
+        tp = sum(v and t for _, v, t in triples)
+        fp = sum(v and not t for _, v, t in triples)
+        fn = sum(t and not v for _, v, t in triples)
+        empty = {
+            "precision": tp + fp == 0,
+            "recall": tp + fn == 0,
+            "f1": tp + fp == 0 and tp + fn == 0,
+        }
+        served = {"precision": day.precision, "recall": day.recall,
+                  "f1": day.f1}
+        for name, old in zip(("precision", "recall", "f1"), pinned[2:5]):
+            expected = 1.0 if empty[name] else old
+            assert served[name] == expected, (day.day, name)
+
+
+def test_drift_year_feeds_labels_back_and_snapshots_drift(drift_year):
+    report = drift_year
+    days = report.days
+    assert all(d.drift is not None for d in days)
+    # Every served day's review labels reached the rolling-F1 monitor.
+    assert [d.drift["monitors"]["rolling_f1"]["samples"] for d in days] == [
+        12 * (i + 1) for i in range(len(days))
+    ]
+    assert report.first_alarm_day == 14
+    assert report.alarms_total == days[-1].drift["alarms_total"] == 1
+    totals = report.to_dict()["totals"]
+    assert totals["first_alarm_day"] == 14
+    assert totals["alarms_total"] == 1
+
+
+def test_drift_year_drift_is_independent_of_batch_size(
+    tmp_path, drift_year
+):
+    """The PSI reference is the training set, not the first scored
+    micro-batch, so the drift fields do not depend on how the
+    dispatcher cut the traffic (below the PSI window of 1,000 rows,
+    which this 288-app year stays under)."""
+    single = _replay_drift_year(tmp_path, 1)
+    assert [d.drift for d in single.days] == [
+        d.drift for d in drift_year.days
+    ]
+    assert single.first_alarm_day == drift_year.first_alarm_day
+    assert single.alarms_total == drift_year.alarms_total
+    assert single.verdict_set() == drift_year.verdict_set()
+
+
+def test_drift_monitors_need_one_in_process_service(
+    fitted_checker, study_observations
+):
+    with pytest.raises(ValueError, match="in-process"):
+        CampaignRunner(
+            TINY, fitted_checker, shards=2, drift_monitors=True,
+            train_observations=study_observations,
+        )
+    with pytest.raises(ValueError, match="train_observations"):
+        CampaignRunner(TINY, fitted_checker, drift_monitors=True)
+    with pytest.raises(ValueError, match="schedule holds 1 day"):
+        CampaignRunner(TINY, fitted_checker, schedule=[[]])
+
+
+def test_plan_market_days_carries_review_labels():
+    market = DriftingMarket(
+        AndroidSdk.generate(SdkSpec(n_apis=1400, seed=11)),
+        seed=5, apps_per_day=4, days=3,
+    )
+    plan = plan_market_days(market, 2)
+    assert len(plan) == 2
+    for day, planned in enumerate(plan):
+        sl = market.day_slice(day)
+        assert [s.apk.md5 for s in planned] == [a.md5 for a in sl.corpus]
+        assert [s.label for s in planned] == sl.market_labels.tolist()
+        assert {(s.lane, s.day, s.wave) for s in planned} == {
+            ("bulk", day, None)
+        }
+    with pytest.raises(ValueError, match="outside horizon"):
+        plan_market_days(market, 4)

@@ -464,3 +464,23 @@ def test_unknown_legacy_path_is_404_not_redirect(served):
     response, body = _raw(base, "GET", "/definitely/not/a/route")
     assert response.status == 404
     assert body["error"]["code"] == "not_found"
+
+
+@pytest.mark.parametrize(
+    "rate", [float("inf"), 1e308], ids=["Infinity", "1e308"]
+)
+def test_poisoned_body_fails_alone(served, generator, poisoned_record, rate):
+    service, base = served
+    record = poisoned_record(rate)
+    body = json.dumps({"apk": record}).encode()
+    assert (b"Infinity" in body) == (rate == float("inf"))
+    status, ticket = _post(f"{base}/v1/submit", None, raw=body)
+    assert status == 202 and ticket["md5"] == record["md5"]
+    later = generator.sample_app()
+    status, _ = _post(f"{base}/v1/submit", {"apk": apk_to_dict(later)})
+    assert status == 202
+    outcome = _drain_result(base, record["md5"])
+    assert outcome["status"] == "failed"
+    assert "OverflowError" in outcome["reason"]
+    assert _drain_result(base, later.md5)["status"] == "done"
+    assert service.running

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.obs import MetricsRegistry
+from repro.serve.codec import apk_from_dict
 from repro.serve.queue import QueueFullError, SubmissionQueue
 from repro.serve.registry import ModelRegistry, PromotionPolicy
 from repro.serve.service import OnlineVettingService
@@ -454,3 +455,36 @@ def test_failed_analysis_outcome_carries_its_reason(models, generator):
         f"all backends failed for {apk.package_name}: "
     )
     assert service.metrics.value("serve_failed_total") == 1
+
+
+@pytest.mark.parametrize(
+    "rate", [float("inf"), 1e308], ids=["Infinity", "1e308"]
+)
+def test_poisoned_submission_fails_alone(
+    tmp_path, models, generator, poisoned_record, rate
+):
+    poisoned = apk_from_dict(poisoned_record(rate))
+    mates = [generator.sample_app() for _ in range(2)]
+    spool = tmp_path / "spool"
+    service = _service(models, spool_dir=spool)
+    # Queued before the dispatcher starts: one micro-batch holds the
+    # poisoned app between two normal ones.
+    for apk in (mates[0], poisoned, mates[1]):
+        service.submit(apk)
+    with service:
+        assert service.drain(60.0)
+        later = generator.sample_app()
+        service.submit(later)
+        assert service.drain(60.0), "the dispatcher stopped"
+        assert service.running
+    outcome = service.result(poisoned.md5)
+    assert outcome["status"] == "failed"
+    assert "OverflowError" in outcome["reason"]
+    for apk in (*mates, later):
+        assert service.result(apk.md5)["status"] == "done"
+    # The failed outcome is in the WAL: a restart serves it as is.
+    restarted = _service(models, spool_dir=spool)
+    try:
+        assert restarted.result(poisoned.md5) == outcome
+    finally:
+        restarted.close()
