@@ -21,7 +21,6 @@ examples:
 	$(PYTHON) examples/market_vetting_day.py
 	$(PYTHON) examples/feature_engineering.py
 	$(PYTHON) examples/evasion_study.py
-	$(PYTHON) examples/capacity_planning.py
 	$(PYTHON) examples/model_evolution.py
 
 # The deliverable transcript files referenced from EXPERIMENTS.md.

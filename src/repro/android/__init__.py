@@ -21,7 +21,6 @@ from repro.android.components import Activity, BroadcastReceiver, Service
 from repro.android.dex import DexCode
 from repro.android.intents import IntentAction, IntentRegistry
 from repro.android.manifest import AndroidManifest
-from repro.android.permission_map import PermissionMap, extract_permission_map
 from repro.android.permissions import (
     Permission,
     PermissionRegistry,
@@ -46,10 +45,8 @@ __all__ = [
     "IntentAction",
     "IntentRegistry",
     "Permission",
-    "PermissionMap",
     "PermissionRegistry",
     "ProtectionLevel",
     "SensitiveCategory",
     "Service",
-    "extract_permission_map",
 ]

@@ -99,9 +99,10 @@ class CallSites:
             )
         if (ids < 0).any():
             raise ValueError("api_id must be non-negative")
-        # NaN compares false, so a NaN rate passes (it never fires).
-        if (rates <= 0).any():
-            raise ValueError("rate_multiplier must be positive")
+        # NaN compares false, so a NaN rate passes (it never fires).  An
+        # infinite rate would overflow the emulator's invocation count.
+        if ((rates <= 0) | (rates == np.inf)).any():
+            raise ValueError("rate_multiplier must be positive and finite")
         if not ((reach >= 0.0) & (reach <= 1.0)).all():
             raise ValueError("reach_quantile must be in [0, 1]")
         ordered = np.sort(ids)

@@ -14,7 +14,6 @@
   FP/FN triage, monthly model evolution (§5.2, §5.3).
 """
 
-from repro.core.capacity import AnalysisLoadModel, CapacityPlanner
 from repro.core.checker import ApiChecker, VetVerdict
 from repro.core.diffvet import DiffDecision, DiffVetter
 from repro.core.engine import AnalysisFailure, AppAnalysis, DynamicAnalysisEngine
@@ -37,9 +36,7 @@ from repro.core.vetting import DailyReport, VettingService
 
 __all__ = [
     "AnalysisFailure",
-    "AnalysisLoadModel",
     "ApiChecker",
-    "CapacityPlanner",
     "AppAnalysis",
     "ObservationCache",
     "PipelineResult",

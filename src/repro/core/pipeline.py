@@ -346,10 +346,10 @@ class VettingPipeline:
             outcome = exc
             minutes = exc.wasted_minutes
         except Exception as exc:
-            # Content the emulator cannot run at all (say, an infinite
-            # call rate that overflows the invocation count) fails this
-            # app alone; its batch-mates and the caller carry on.  The
-            # reason names the error and the frame that raised it.
+            # Content the emulator cannot run at all (say, a call rate
+            # near float max that overflows the invocation count) fails
+            # this app alone; its batch-mates and the caller carry on.
+            # The reason names the error and the frame that raised it.
             where = traceback.extract_tb(exc.__traceback__)[-1]
             outcome = AnalysisFailure(
                 f"analysis of {apk.package_name} raised "

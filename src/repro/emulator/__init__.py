@@ -12,7 +12,6 @@ events; 2.1 / 4.3 / 53.6 min mean emulation tracking none / 426 / all
 APIs on the Google emulator; 70% reduction on the lightweight engine).
 """
 
-from repro.emulator.adb import AdbSession
 from repro.emulator.backends import (
     EmulatorBackend,
     GoogleEmulator,
@@ -28,12 +27,10 @@ from repro.emulator.monkey import (
     MonkeyExerciser,
     rac_for_events,
 )
-from repro.emulator.sensors import SensorTrace, SensorTraceLibrary
 from repro.emulator.runtime import EmulationResult, emulate_app
 from repro.emulator.translation import BinaryTranslator
 
 __all__ = [
-    "AdbSession",
     "AnalysisServer",
     "BinaryTranslator",
     "DeviceEnvironment",
@@ -46,8 +43,6 @@ __all__ = [
     "LightweightEmulator",
     "MonkeyExerciser",
     "RealDevice",
-    "SensorTrace",
-    "SensorTraceLibrary",
     "ServerCluster",
     "emulate_app",
     "probe_succeeds",

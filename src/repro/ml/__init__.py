@@ -11,7 +11,6 @@ used for Fig. 6.
 """
 
 from repro.ml.base import Classifier, check_Xy
-from repro.ml.bootstrap import BootstrapReport, MetricInterval, bootstrap_metrics
 from repro.ml.gbdt import GradientBoostedTrees
 from repro.ml.knn import KNearestNeighbors
 from repro.ml.logistic import LogisticRegression
@@ -26,9 +25,6 @@ from repro.ml.validation import cross_validate, stratified_kfold
 
 __all__ = [
     "BernoulliNaiveBayes",
-    "BootstrapReport",
-    "MetricInterval",
-    "bootstrap_metrics",
     "CartTree",
     "ClassificationReport",
     "Classifier",

@@ -93,7 +93,7 @@ def poisoned_record(generator):
 
     The record carries its correct md5, so a ``/v1`` body made of it
     decodes; emulating the app then overflows the invocation counts for
-    an infinite or near-``float`` max rate.
+    a near-``float`` max rate.  (An infinite rate does not decode.)
     """
     from repro.serve.codec import apk_from_dict, apk_to_dict
 

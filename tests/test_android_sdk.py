@@ -40,6 +40,18 @@ def test_restricted_apis_carry_restrictive_permissions(sdk):
         assert api.permission is not None
 
 
+def test_restrictive_guards_cover_exactly_the_restricted_stratum(sdk):
+    # No API outside the stratum has a dangerous/signature guard:
+    # Set-P is exactly the restrictively guarded APIs (§4.4).
+    guarded = [
+        api.api_id
+        for api in sdk
+        if api.permission is not None
+        and sdk.permissions.get(api.permission).level.is_restrictive
+    ]
+    assert sorted(guarded) == sorted(sdk.restricted_api_ids.tolist())
+
+
 def test_sensitive_apis_have_categories(sdk):
     for api_id in sdk.sensitive_api_ids:
         api = sdk.api(int(api_id))

@@ -1,5 +1,7 @@
 """Tests for emulator backends and the app runtime."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,23 @@ def test_hook_log_contains_only_tracked(sdk, generator, env):
     res = _emulate(apk, sdk, GoogleEmulator(), env, tracked=tracked)
     assert set(res.hooked_api_ids) <= set(tracked.tolist())
     assert set(res.hooked_api_ids) <= set(res.invoked_api_ids)
+
+
+def test_install_cost_grows_with_apk_size(generator):
+    # Same rng seed and run components: only the install term differs.
+    apk = generator.sample_app(malicious=False)
+    bigger = dataclasses.replace(apk, size_mb=apk.size_mb + 40.0, _md5="")
+    for backend in (GoogleEmulator(), LightweightEmulator(), RealDevice()):
+        small_s, big_s = (
+            backend.emulation_seconds(
+                a, 120.0, 30.0, np.random.default_rng(5)
+            )
+            for a in (apk, bigger)
+        )
+        assert big_s > small_s
+        assert big_s - small_s == pytest.approx(
+            40.0 / backend.install_rate_mb_s * backend.speed_factor
+        )
 
 
 def test_houdini_incompatible_rejected_by_lightweight(sdk, generator, env):

@@ -18,8 +18,9 @@ NAN = float("nan")
 #: What ``POST /v1/submit`` makes of an odd value in the first call
 #: site of one app: the md5 the decoded app hashes to, or None for a
 #: 400.  These are the answers of the per-site decoder the columns
-#: replaced, kept value for value, except an api_id of 2**70: that one
-#: used to decode and then crash the emulator, and now gets a 400.
+#: replaced, kept value for value, except an api_id of 2**70 and a
+#: rate_multiplier of Infinity: those used to decode and then crash the
+#: emulator, and now get a 400.
 ODD_SITE_VALUES = [
     ("api_id", 3.5, "52df482e6d4eabd802021f0c85862bce"),
     ("api_id", "3", "52df482e6d4eabd802021f0c85862bce"),
@@ -37,7 +38,7 @@ ODD_SITE_VALUES = [
     ("rate_multiplier", None, None),
     ("rate_multiplier", "x", None),
     ("rate_multiplier", NAN, "3faeb362ac4145d26263040ad3047f67"),
-    ("rate_multiplier", INF, "e3a713bb329feba2d9e6b1d21d4fba04"),
+    ("rate_multiplier", INF, None),
     ("rate_multiplier", -INF, None),
     ("reach_quantile", 3.5, None),
     ("reach_quantile", "3", None),

@@ -296,6 +296,33 @@ def test_accepted_body_reaches_the_wal_verbatim(
     )
 
 
+def test_infinite_rate_is_400_before_the_wal(
+    tmp_path, fitted_checker, generator
+):
+    models = ModelRegistry(tmp_path / "models")
+    models.publish(fitted_checker, activate=True)
+    spool = tmp_path / "spool"
+    service = OnlineVettingService(models, spool_dir=spool)
+    server = make_server(service).start_background()
+    record = apk_to_dict(generator.sample_app(malicious=True))
+    record["dex"]["call_sites"]["rate_multiplier"][0] = float("inf")
+    body = json.dumps({"apk": record}).encode()
+    assert b"Infinity" in body
+    try:
+        status, err = _post(
+            f"http://127.0.0.1:{server.port}/v1/submit", None, raw=body
+        )
+    finally:
+        server.stop()
+        service.close()
+    assert status == 400 and err["error"]["code"] == "bad_request"
+    assert "rate_multiplier must be positive and finite" in (
+        err["error"]["message"]
+    )
+    assert service.queue.depth == 0 and not service.results
+    assert (spool / "queue.wal").read_text("utf-8") == ""
+
+
 def test_queue_full_is_429(tmp_path, fitted_checker, generator):
     models = ModelRegistry(tmp_path / "models")
     models.publish(fitted_checker, activate=True)
@@ -466,14 +493,11 @@ def test_unknown_legacy_path_is_404_not_redirect(served):
     assert body["error"]["code"] == "not_found"
 
 
-@pytest.mark.parametrize(
-    "rate", [float("inf"), 1e308], ids=["Infinity", "1e308"]
-)
+@pytest.mark.parametrize("rate", [1e308], ids=["1e308"])
 def test_poisoned_body_fails_alone(served, generator, poisoned_record, rate):
     service, base = served
     record = poisoned_record(rate)
     body = json.dumps({"apk": record}).encode()
-    assert (b"Infinity" in body) == (rate == float("inf"))
     status, ticket = _post(f"{base}/v1/submit", None, raw=body)
     assert status == 202 and ticket["md5"] == record["md5"]
     later = generator.sample_app()
