@@ -92,7 +92,6 @@ def _paced_day(checker, day, rules) -> float:
     )
     service.pipeline = VettingPipeline(
         checker.production_engine,
-        cluster=service.cluster,
         workers=4,
         pace_seconds_per_minute=PACE,
         registry=registry,

@@ -40,7 +40,6 @@ def _paced_day(world, checker, day, rules: bool) -> float:
     )
     service.pipeline = VettingPipeline(
         checker.production_engine,
-        cluster=service.cluster,
         workers=4,
         pace_seconds_per_minute=PACE,
         registry=registry,

@@ -17,7 +17,6 @@ import numpy as np
 from repro import AndroidSdk, ApiChecker, CorpusGenerator, SdkSpec
 from repro.core.vetting import VettingService
 from repro.corpus.market import ReviewPipeline, TMarket
-from repro.emulator.cluster import ServerCluster
 
 #: Scaled-down market day (the real T-Market sees ~10K/day).
 APPS_PER_DAY = 600
@@ -39,7 +38,7 @@ def main() -> None:
     day = market.next_day_submissions()
     true_labels = market.ingest(day)
 
-    service = VettingService(checker, cluster=ServerCluster(n_servers=1))
+    service = VettingService(checker)
     report = service.process_day(day, true_labels=true_labels)
 
     print(f"submissions: {report.n_apps}")
@@ -53,7 +52,7 @@ def main() -> None:
         "(paper: 1.3 min mean)"
     )
     print(
-        f"cluster makespan: {report.schedule.makespan_minutes:.0f} min at "
+        f"server makespan: {report.schedule.makespan_minutes:.0f} min at "
         f"{report.schedule.utilization:.0%} slot utilization -> "
         f"{report.throughput_per_day:,.0f} apps/day capacity "
         "(paper: ~10K/day on one server)"

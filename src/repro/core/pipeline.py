@@ -2,8 +2,8 @@
 
 The deployed APICHECKER vets ~10K submissions/day on one 16-emulator
 server (§5.2).  :class:`VettingPipeline` reproduces that executor shape:
-a long-lived worker pool sized to :attr:`ServerCluster.total_slots`,
-where each worker holds one slot for one app's whole
+a long-lived worker pool of :data:`EMULATOR_SLOTS` slots, where each
+worker holds one slot for one app's whole
 :meth:`DynamicAnalysisEngine.analyze` — crash detection, bounded retry
 and fallback to the full emulator, the engine's one retry/fallback
 chain.  Every attempt after an app's first is a requeue that waits out
@@ -27,6 +27,7 @@ traffic; entries optionally persist as JSON lines compatible with
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 import traceback
@@ -35,6 +36,8 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from pathlib import Path
 
+import numpy as np
+
 from repro.android.apk import Apk
 from repro.core.engine import (
     AnalysisFailure,
@@ -42,16 +45,19 @@ from repro.core.engine import (
     DynamicAnalysisEngine,
 )
 from repro.core.features import AppObservation
+from repro.core.reporting import LogRecord
 from repro.corpus.generator import AppCorpus
-from repro.emulator.cluster import (
-    ScheduledTask,
-    ScheduleReport,
-    ServerCluster,
+from repro.obs import (
+    DEFAULT_MINUTES_BUCKETS,
+    MetricsRegistry,
+    SpanSink,
+    record_span,
 )
-from repro.obs import MetricsRegistry, SpanSink, record_span
 
-#: Cache file format marker (shares the analysis-log JSON-lines shape).
-CACHE_FORMAT_VERSION = 1
+#: Emulator slots of the one analysis server: 16 of its 20 cores run
+#: emulators, the other 4 schedule, monitor and log (§4.2), and the
+#: production deployment is that single server (§5.2).
+EMULATOR_SLOTS = 16
 
 #: Simulated delay before a requeued app's next attempt, doubled per
 #: requeue up to the cap (the "bounded" part of bounded backoff).
@@ -103,6 +109,85 @@ def render_summary(counts: dict) -> str:
     )
 
 
+@dataclass(frozen=True)
+class ScheduledTask:
+    """One app's executed interval on an emulator slot (pool index)."""
+
+    app_index: int
+    slot: int
+    start_minute: float
+    end_minute: float
+
+
+@dataclass
+class ScheduleReport:
+    """The per-slot timeline a pipeline run actually executed.
+
+    Attributes:
+        tasks: per-app slot intervals, in completion order.
+        makespan_minutes: when the last analysis finishes.
+        slot_busy_minutes: total busy time per emulator slot.
+    """
+
+    tasks: list[ScheduledTask]
+    makespan_minutes: float
+    slot_busy_minutes: np.ndarray
+
+    @property
+    def utilization(self) -> float:
+        """Mean slot utilization over the makespan (0.0 when empty)."""
+        if self.makespan_minutes <= 0:
+            return 0.0
+        return float(
+            self.slot_busy_minutes.mean() / self.makespan_minutes
+        )
+
+    def throughput_per_day(self) -> float:
+        """Apps per 24h at the observed pace (0.0 for empty batches)."""
+        if self.makespan_minutes <= 0:
+            return 0.0
+        return len(self.tasks) * (24 * 60) / self.makespan_minutes
+
+    def register_metrics(self, registry: MetricsRegistry) -> None:
+        """Record this schedule's slot-occupancy figures into a registry.
+
+        Emits ``cluster_tasks_total`` / ``cluster_busy_minutes_total``
+        counters, per-slot busy-time observations into a
+        ``cluster_slot_busy_minutes`` histogram, and makespan /
+        utilization gauges — the occupancy surface the 16-emulator
+        server is operated by.
+        """
+        registry.inc("cluster_tasks_total", len(self.tasks))
+        registry.inc(
+            "cluster_busy_minutes_total",
+            float(self.slot_busy_minutes.sum()),
+        )
+        for slot_busy in self.slot_busy_minutes:
+            registry.observe(
+                "cluster_slot_busy_minutes",
+                float(slot_busy),
+                buckets=DEFAULT_MINUTES_BUCKETS,
+            )
+        registry.set_gauge("cluster_makespan_minutes", self.makespan_minutes)
+        registry.set_gauge("cluster_slot_utilization", self.utilization)
+        registry.set_gauge("cluster_slots", len(self.slot_busy_minutes))
+
+    @classmethod
+    def from_executed(
+        cls, tasks: list[ScheduledTask], n_slots: int
+    ) -> "ScheduleReport":
+        """Build a report from tasks as a pipeline ran them: each
+        task's slot and start/end were recorded when a worker completed
+        it."""
+        if n_slots <= 0:
+            raise ValueError("n_slots must be positive")
+        busy = np.zeros(n_slots)
+        for t in tasks:
+            busy[t.slot] += t.end_minute - t.start_minute
+        makespan = max((t.end_minute for t in tasks), default=0.0)
+        return cls(list(tasks), makespan, busy)
+
+
 class ObservationCache:
     """md5-keyed observation store with optional JSON-lines persistence.
 
@@ -110,6 +195,9 @@ class ObservationCache:
     repackaged APKs retried by developers); an app whose md5 was already
     analyzed skips re-emulation entirely and replays the stored
     observation.  Thread-safe.
+
+    The file is an analysis log (:mod:`repro.core.reporting`) without
+    verdicts: one :class:`~repro.core.reporting.LogRecord` per line.
 
     Args:
         path: JSON-lines file to load from / append to.  Missing files
@@ -129,48 +217,37 @@ class ObservationCache:
                 # day of emulation when the first entry is appended.
                 self.path.parent.mkdir(parents=True, exist_ok=True)
 
-    @staticmethod
-    def _to_dict(obs: AppObservation) -> dict:
-        return {
-            "v": CACHE_FORMAT_VERSION,
-            "md5": obs.apk_md5,
-            "apis": list(obs.invoked_api_ids),
-            "api_counts": [list(pair) for pair in obs.invoked_api_counts],
-            "permissions": list(obs.permissions),
-            "intents": list(obs.intents),
-            "minutes": obs.analysis_minutes,
-        }
-
-    @staticmethod
-    def _from_dict(record: dict) -> AppObservation:
-        version = record.get("v")
-        if version != CACHE_FORMAT_VERSION:
-            raise ValueError(f"unsupported cache format version: {version!r}")
-        return AppObservation(
-            apk_md5=record["md5"],
-            invoked_api_ids=tuple(int(i) for i in record["apis"]),
-            permissions=tuple(record["permissions"]),
-            intents=tuple(record["intents"]),
-            analysis_minutes=float(record.get("minutes", 0.0)),
-            invoked_api_counts=tuple(
-                (int(a), int(c)) for a, c in record.get("api_counts", [])
-            ),
-        )
-
     def _load(self) -> None:
-        with self.path.open("r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
+        """Read the file, repairing a tail torn by a killed :meth:`put`.
+
+        An unparsable final line with no newline was never fully
+        written: it is dropped and cut off the file (the app costs one
+        re-emulation).  A final line that parses but lacks its newline
+        is terminated, so the next append starts a line of its own.
+        Any other unparsable line is corruption and raises.
+        """
+        intact = 0  # bytes through the last line read
+        raw = b""
+        with self.path.open("rb") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                intact += len(raw)
+                line = raw.strip()
                 if not line:
                     continue
                 try:
                     record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(
-                        f"{self.path}:{line_no}: malformed cache line"
-                    ) from exc
-                obs = self._from_dict(record)
+                except ValueError as exc:
+                    if raw.endswith(b"\n"):
+                        raise ValueError(
+                            f"{self.path}:{line_no}: malformed cache line"
+                        ) from exc
+                    os.truncate(self.path, intact - len(raw))
+                    return
+                obs = LogRecord.from_dict(record).observation
                 self._entries[obs.apk_md5] = obs
+        if raw and not raw.endswith(b"\n"):
+            with self.path.open("ab") as tail:
+                tail.write(b"\n")
 
     def get(self, md5: str) -> AppObservation | None:
         """Look up an observation (None on a miss)."""
@@ -184,9 +261,9 @@ class ObservationCache:
                 return
             self._entries[obs.apk_md5] = obs
             if self.path is not None:
+                line = json.dumps(LogRecord(obs).to_dict()) + "\n"
                 with self.path.open("a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(self._to_dict(obs)))
-                    fh.write("\n")
+                    fh.write(line)
 
     def __contains__(self, md5: str) -> bool:
         with self._lock:
@@ -195,6 +272,21 @@ class ObservationCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+
+def observation_cache(
+    cache: ObservationCache | str | Path | bool | None,
+) -> ObservationCache | None:
+    """Resolve a service's ``cache`` option: an :class:`ObservationCache`
+    as-is, a path for a persistent one, ``True`` for a fresh in-memory
+    one, ``False``/``None`` for none."""
+    if cache is True:
+        return ObservationCache()
+    if cache is False or cache is None:
+        return None
+    if isinstance(cache, (str, Path)):
+        return ObservationCache(cache)
+    return cache
 
 
 @dataclass(frozen=True)
@@ -287,9 +379,8 @@ class VettingPipeline:
     Args:
         engine: the analysis engine (shared by all workers; its per-app
             rng derivation is what makes sharing safe).
-        cluster: hardware model; the pool is sized to its slot count.
         workers: override the pool size (clamped to
-            ``cluster.total_slots``; default: all slots).
+            :data:`EMULATOR_SLOTS`; default: all slots).
         cache: md5-keyed observation cache; hits skip emulation.
         pace_seconds_per_minute: real seconds a worker holds its slot
             per simulated emulation minute.  0.0 (default) runs the
@@ -308,7 +399,6 @@ class VettingPipeline:
     def __init__(
         self,
         engine: DynamicAnalysisEngine,
-        cluster: ServerCluster | None = None,
         workers: int | None = None,
         cache: ObservationCache | None = None,
         pace_seconds_per_minute: float = 0.0,
@@ -320,9 +410,10 @@ class VettingPipeline:
         if pace_seconds_per_minute < 0:
             raise ValueError("pace must be non-negative")
         self.engine = engine
-        self.cluster = cluster or ServerCluster(n_servers=1)
-        slots = self.cluster.total_slots
-        self.workers = slots if workers is None else min(workers, slots)
+        self.workers = (
+            EMULATOR_SLOTS if workers is None
+            else min(workers, EMULATOR_SLOTS)
+        )
         self.cache = cache
         self.pace_seconds_per_minute = pace_seconds_per_minute
         self.registry = registry if registry is not None else engine.registry
@@ -399,7 +490,6 @@ class VettingPipeline:
                 copies[apk.md5] = []
             futures[self._pool.submit(self._vet, apk, started)] = i
 
-        slots_per_server = self.cluster.server.emulator_slots
         # Simulated per-slot clocks for the executed timeline.
         slot_heap: list[tuple[float, int]] = [
             (0.0, s) for s in range(self.workers)
@@ -433,8 +523,7 @@ class VettingPipeline:
             timeline.append(
                 ScheduledTask(
                     app_index=index,
-                    server=slot // slots_per_server,
-                    slot=slot % slots_per_server,
+                    slot=slot,
                     start_minute=start,
                     end_minute=end,
                 )
@@ -459,9 +548,7 @@ class VettingPipeline:
                     registry.inc("pipeline_cached_total")
                     analyses[j] = _cached_analysis(outcome.observation)
 
-        schedule = ScheduleReport.from_executed(
-            timeline, self.workers, slots_per_server
-        )
+        schedule = ScheduleReport.from_executed(timeline, self.workers)
         schedule.register_metrics(registry)
         registry.set_gauge("pipeline_workers", self.workers)
         registry.observe(

@@ -18,13 +18,14 @@ import numpy as np
 from repro.core.checker import ApiChecker, VetVerdict
 from repro.core.pipeline import (
     ObservationCache,
+    ScheduleReport,
     VettingPipeline,
+    observation_cache,
     render_summary,
     unified_counts,
 )
 from repro.core.triage import FalsePositiveReport, TriageCenter
 from repro.corpus.generator import AppCorpus
-from repro.emulator.cluster import ScheduleReport, ServerCluster
 from repro.obs import MetricsRegistry, SpanSink, span
 from repro.rules import BehaviorReport, RuleEvaluator
 
@@ -122,16 +123,14 @@ class VettingService:
 
     Args:
         checker: a fitted :class:`ApiChecker`.
-        cluster: the analysis hardware (default: one 16-slot server,
-            matching the deployed system).
         triage: FP/FN triage center (default: one keyed to the
             checker's key-API set).
-        workers: pipeline worker-pool size (default: every emulator
-            slot the cluster has).
+        workers: pipeline worker-pool size (default: all 16 emulator
+            slots of the deployed server).
         cache: observation cache shared across days — an
             :class:`ObservationCache`, a persistence path, or ``True``
-            for a fresh in-memory cache.  ``None`` disables caching and
-            re-emulates every submission.
+            for a fresh in-memory cache.  ``None`` or ``False`` disables
+            caching and re-emulates every submission.
         registry: metrics registry service/pipeline telemetry lands in
             (default: the production engine's registry, so the whole
             stack reports through one surface).
@@ -146,7 +145,6 @@ class VettingService:
     def __init__(
         self,
         checker: ApiChecker,
-        cluster: ServerCluster | None = None,
         triage: TriageCenter | None = None,
         workers: int | None = None,
         cache: ObservationCache | str | Path | bool | None = None,
@@ -156,7 +154,6 @@ class VettingService:
     ):
         checker._require_fitted()
         self.checker = checker
-        self.cluster = cluster or ServerCluster(n_servers=1)
         self.registry = (
             registry
             if registry is not None
@@ -175,14 +172,9 @@ class VettingService:
                 checker.key_api_ids, exclude_api_ids=exclude
             )
         self.triage = triage
-        if cache is True:
-            cache = ObservationCache()
-        elif isinstance(cache, (str, Path)):
-            cache = ObservationCache(cache)
-        self.cache = cache
+        self.cache = observation_cache(cache)
         self.pipeline = VettingPipeline(
             checker.production_engine,
-            cluster=self.cluster,
             workers=workers,
             cache=self.cache,
             registry=self.registry,

@@ -3,8 +3,9 @@
 Simulates the paper's two emulation stacks — Google's QEMU-based
 full-system emulator and the custom lightweight Android-x86 + Intel
 Houdini engine (§5.1) — together with the Monkey UI exerciser, the
-Xposed-style API hook engine, anti-emulator-detection hardening (§4.2),
-and the x86 server cluster that runs 16 emulators per machine.
+Xposed-style API hook engine and anti-emulator-detection hardening
+(§4.2).  The one 16-slot server those emulators run on is the slot
+pool of :class:`repro.core.pipeline.VettingPipeline`.
 
 All durations are *simulated minutes*, computed from a cost model
 calibrated against the paper's reported timings (126 s for 5K Monkey
@@ -18,7 +19,6 @@ from repro.emulator.backends import (
     LightweightEmulator,
     RealDevice,
 )
-from repro.emulator.cluster import AnalysisServer, ServerCluster
 from repro.emulator.device import DeviceEnvironment
 from repro.emulator.evasion import probe_succeeds, successful_probes
 from repro.emulator.hooks import HookEngine, InvocationRecord
@@ -31,7 +31,6 @@ from repro.emulator.runtime import EmulationResult, emulate_app
 from repro.emulator.translation import BinaryTranslator
 
 __all__ = [
-    "AnalysisServer",
     "BinaryTranslator",
     "DeviceEnvironment",
     "EmulationResult",
@@ -43,7 +42,6 @@ __all__ = [
     "LightweightEmulator",
     "MonkeyExerciser",
     "RealDevice",
-    "ServerCluster",
     "emulate_app",
     "probe_succeeds",
     "rac_for_events",

@@ -20,8 +20,11 @@ import time
 from pathlib import Path
 
 from repro.android.apk import Apk
-from repro.core.pipeline import ObservationCache, VettingPipeline
-from repro.emulator.cluster import ServerCluster
+from repro.core.pipeline import (
+    ObservationCache,
+    VettingPipeline,
+    observation_cache,
+)
 from repro.obs import MetricsRegistry, SpanSink
 from repro.rules import RuleCompileError, RuleEvaluator, lint_ruleset
 from repro.serve.queue import (
@@ -89,12 +92,10 @@ class OnlineVettingService:
         max_depth: admission bound for a queue built here.
         cache: md5-keyed observation cache shared across batches
             (``True`` for a fresh in-memory one, a path for a persistent
-            one, ``None`` to disable).
+            one, ``False``/``None`` to disable).
         metrics: unified metrics registry (shared with the queue and
             model registry unless those were built with their own).
         sink: optional span sink.
-        cluster: hardware model for the pipeline (default: the paper's
-            single 16-slot server).
         poll_seconds: dispatcher wait per idle cycle.
         rules: behavioral rule evaluation for flagged submissions —
             ``True`` (default) compiles the active ruleset against
@@ -141,7 +142,6 @@ class OnlineVettingService:
         cache: ObservationCache | str | Path | bool | None = True,
         metrics: MetricsRegistry | None = None,
         sink: SpanSink | None = None,
-        cluster: ServerCluster | None = None,
         poll_seconds: float = 0.05,
         rules: bool = True,
         rulesets: RulesetRegistry | str | Path | None = None,
@@ -172,15 +172,8 @@ class OnlineVettingService:
         self.workers = workers
         self.batch_size = batch_size
         self.sink = sink
-        self.cluster = cluster or ServerCluster(n_servers=1)
         self.poll_seconds = poll_seconds
-        if cache is True:
-            cache = ObservationCache()
-        elif cache is False:
-            cache = None
-        elif isinstance(cache, (str, Path)):
-            cache = ObservationCache(cache)
-        self.cache = cache
+        self.cache = observation_cache(cache)
         #: The pipeline for the engine the dispatcher last ran; built,
         #: and closed on a model swap, by the dispatcher thread only.
         self._pipeline: VettingPipeline | None = None
@@ -496,7 +489,6 @@ class OnlineVettingService:
                 pipeline.close()
             pipeline = self._pipeline = VettingPipeline(
                 engine,
-                cluster=self.cluster,
                 workers=self.workers,
                 cache=self.cache,
                 pace_seconds_per_minute=self.pace_seconds_per_minute,

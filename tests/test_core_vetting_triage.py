@@ -9,12 +9,11 @@ from repro.core.triage import (
 )
 from repro.core.vetting import VettingService
 from repro.corpus.generator import CorpusGenerator
-from repro.emulator.cluster import ServerCluster
 
 
 @pytest.fixture()
 def service(fitted_checker):
-    return VettingService(fitted_checker, cluster=ServerCluster(n_servers=1))
+    return VettingService(fitted_checker)
 
 
 def test_service_requires_fitted_checker(sdk):
@@ -51,13 +50,20 @@ def test_process_day_rejects_empty(service, sdk):
         service.process_day(AppCorpus(sdk, []))
 
 
+def test_cache_false_disables_the_cache(fitted_checker, sdk, catalog):
+    service = VettingService(fitted_checker, cache=False)
+    assert service.cache is None
+    day = CorpusGenerator(sdk, seed=509, catalog=catalog).generate(12)
+    report = service.process_day(day)
+    assert report.n_apps == 12
+    assert report.cache_hits == report.cache_misses == 0
+
+
 def test_second_day_served_from_cache(fitted_checker, sdk, catalog):
     """Resubmitted md5s are reported as cache hits and not re-emulated."""
     from repro.corpus.generator import AppCorpus
 
-    service = VettingService(
-        fitted_checker, cluster=ServerCluster(n_servers=1), cache=True
-    )
+    service = VettingService(fitted_checker, cache=True)
     gen = CorpusGenerator(sdk, seed=508, catalog=catalog)
     day1 = gen.generate(30)
     report1 = service.process_day(day1)

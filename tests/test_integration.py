@@ -8,7 +8,6 @@ from repro.core.features import FeatureMode
 from repro.core.vetting import VettingService
 from repro.corpus.generator import AppCorpus, CorpusGenerator
 from repro.corpus.market import ReviewPipeline
-from repro.emulator.cluster import ServerCluster
 
 
 @pytest.fixture(scope="module")
@@ -54,9 +53,7 @@ def test_market_labels_close_enough_to_train_on(
 
 
 def test_vetting_service_day_cycle(fitted_checker, fresh_eval):
-    service = VettingService(
-        fitted_checker, cluster=ServerCluster(n_servers=1)
-    )
+    service = VettingService(fitted_checker)
     day = fresh_eval.subset(range(80))
     report = service.process_day(day, true_labels=day.labels)
     assert report.n_apps == 80

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from repro.core.engine import DynamicAnalysisEngine
-from repro.core.pipeline import VettingPipeline
+from repro.core.pipeline import EMULATOR_SLOTS, VettingPipeline
 from repro.core.vetting import VettingService
 from repro.corpus.generator import CorpusGenerator
-from repro.emulator.cluster import AnalysisServer, ServerCluster
 
 SEEDS = (11, 12, 13)
 
@@ -67,11 +66,7 @@ def test_daily_report_counts_identical_across_worker_counts(
     corpus = _corpus(sdk, catalog, seed=21, n=40)
     reports = []
     for workers in (1, 4, 16):
-        service = VettingService(
-            fitted_checker,
-            cluster=ServerCluster(n_servers=1),
-            workers=workers,
-        )
+        service = VettingService(fitted_checker, workers=workers)
         reports.append(service.process_day(corpus))
     baseline = reports[0]
     for report in reports[1:]:
@@ -96,15 +91,13 @@ def test_pipeline_repeat_run_identical(sdk, catalog):
     ]
 
 
-def test_worker_pool_is_clamped_to_cluster_slots(sdk):
+def test_worker_pool_is_clamped_to_emulator_slots(sdk):
     engine = DynamicAnalysisEngine(sdk, [], seed=0)
-    cluster = ServerCluster(
-        n_servers=1, server=AnalysisServer(cores=6, emulator_slots=4)
-    )
-    pipeline = VettingPipeline(engine, cluster=cluster, workers=64)
-    assert pipeline.workers == 4
-    default = VettingPipeline(engine, cluster=cluster)
-    assert default.workers == cluster.total_slots
+    assert EMULATOR_SLOTS == 16
+    pipeline = VettingPipeline(engine, workers=64)
+    assert pipeline.workers == 16
+    default = VettingPipeline(engine)
+    assert default.workers == 16
 
 
 def test_minutes_distribution_matches_sequential(sdk, catalog):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.emulator.cluster import ServerCluster
 from repro.ml.metrics import ClassificationReport, confusion_counts, evaluate
 from repro.ml.stats import r2_score, rankdata, spearman_rho
 from repro.ml.tree import CartTree
@@ -100,31 +99,6 @@ def test_spearman_symmetry(x):
 @settings(max_examples=40, deadline=None)
 def test_r2_of_exact_fit_is_one(y):
     assert r2_score(y, y) == 1.0
-
-
-# ----------------------------------------------------------------------
-# Scheduling invariants
-# ----------------------------------------------------------------------
-
-
-@given(
-    hnp.arrays(
-        np.float64,
-        st.integers(1, 80),
-        elements=st.floats(0.0, 50.0, allow_nan=False),
-    ),
-    st.integers(1, 4),
-)
-@settings(max_examples=50, deadline=None)
-def test_schedule_invariants(durations, n_servers):
-    cluster = ServerCluster(n_servers=n_servers)
-    report = cluster.schedule(durations)
-    assert report.slot_busy_minutes.sum() == np.sum(durations) or np.isclose(
-        report.slot_busy_minutes.sum(), np.sum(durations)
-    )
-    if durations.size:
-        assert report.makespan_minutes >= durations.max() - 1e-9
-    assert 0.0 <= report.utilization <= 1.0 + 1e-9
 
 
 # ----------------------------------------------------------------------
