@@ -61,6 +61,17 @@ class NativeLib:
             raise ValueError("size_mb must be positive")
 
 
+def _float_column(values) -> np.ndarray:
+    """One float64 column, copied whole from a float64 array.
+
+    Anything else goes through ``float()`` per value, not ``np.array``,
+    which would read ``None`` as NaN.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        return np.array(values)
+    return np.fromiter(map(float, values), np.float64)
+
+
 @dataclass(frozen=True, eq=False)
 class CallSites:
     """The direct framework-API call sites in the app code, as columns.
@@ -85,13 +96,13 @@ class CallSites:
     def __post_init__(self):
         try:
             ids = np.array(self.api_id, dtype=np.int64)
-            # float() per value, not np.array: that would read None as NaN.
-            rates = np.fromiter(map(float, self.rate_multiplier), np.float64)
-            reach = np.fromiter(map(float, self.reach_quantile), np.float64)
+            rates = _float_column(self.rate_multiplier)
+            reach = _float_column(self.reach_quantile)
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"bad call_sites column: {exc}") from exc
-        if ids.ndim != 1:
-            raise ValueError("api_id must be a flat column")
+        for f, column in zip(fields(self), (ids, rates, reach)):
+            if column.ndim != 1:
+                raise ValueError(f"{f.name} must be a flat column")
         if not len(ids) == len(rates) == len(reach):
             raise ValueError(
                 f"call_sites columns differ in length: api_id={len(ids)}, "

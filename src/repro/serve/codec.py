@@ -8,22 +8,31 @@ exact: :func:`apk_from_dict` rebuilds an APK whose content MD5 equals
 the original's, which is what lets WAL replay and resubmission dedup
 key everything on ``md5``.
 
-Version 2 (what :func:`apk_to_dict` writes) stores ``dex.call_sites``
-as three parallel columns — ``{"api_id": [...], "rate_multiplier":
-[...], "reach_quantile": [...]}`` — instead of one object per site.
-Call sites are most of a payload (~365 per app), so the columns halve
-its size and its ``json.loads`` time.  :func:`apk_from_dict` reads
-version 1 (a list of site objects) as well, so version-1 bodies and
-WAL records written before the change still decode.  Either way the
-sites are decoded into one validated
-:class:`~repro.android.dex.CallSites` (three numpy columns, no object
-per site) and the content md5 is recomputed and compared with the
+Call sites are most of a payload (~450 per app).  Version 3 (what
+:func:`apk_to_dict` writes) stores ``dex.call_sites`` as three binary
+columns, each the base64 text of its little-endian cells::
+
+    {"api_id": <base64 of int64>, "rate_multiplier": <base64 of
+     float64>, "reach_quantile": <base64 of float64>}
+
+so neither the router nor a shard parses a JSON number per site: a
+column decodes with one ``b64decode`` and one ``np.frombuffer``, and
+the float cells round-trip bit for bit.  Version 2 — the same three
+columns as JSON number lists — is still read, because every WAL written
+before version 3 holds version-2 bodies verbatim and hand-written
+bodies use it.  Version 1 (one object per site) is no longer read.
+Either way the sites are decoded into one validated
+:class:`~repro.android.dex.CallSites` and the content md5, which
+formats the column values, is recomputed and compared with the
 recorded one.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+
+import numpy as np
 
 from repro.android.apk import Apk
 from repro.android.components import Activity, BroadcastReceiver, Service
@@ -47,10 +56,17 @@ __all__ = [
 
 #: Wire format marker written by :func:`apk_to_dict`; bump on any
 #: incompatible schema change.
-CODEC_VERSION = 2
+CODEC_VERSION = 3
 
 #: Versions :func:`apk_from_dict` reads.
-READABLE_VERSIONS = (1, 2)
+READABLE_VERSIONS = (2, 3)
+
+#: Cell type of each version-3 call-site column (little-endian).
+_COLUMN_DTYPES = {
+    "api_id": np.dtype("<i8"),
+    "rate_multiplier": np.dtype("<f8"),
+    "reach_quantile": np.dtype("<f8"),
+}
 
 _MD5_HEX = frozenset("0123456789abcdef")
 
@@ -95,9 +111,8 @@ def apk_to_dict(apk: Apk) -> dict:
         },
         "dex": {
             "call_sites": {
-                "api_id": d.call_sites.api_id.tolist(),
-                "rate_multiplier": d.call_sites.rate_multiplier.tolist(),
-                "reach_quantile": d.call_sites.reach_quantile.tolist(),
+                name: _encode_column(getattr(d.call_sites, name), dtype)
+                for name, dtype in _COLUMN_DTYPES.items()
             },
             "reflection_api_ids": list(d.reflection_api_ids),
             "sent_intents": list(d.sent_intents),
@@ -157,26 +172,41 @@ def claimed_md5(record: dict) -> str | None:
     return None
 
 
-def _call_sites(sites, version: int) -> CallSites:
-    if version == 1:
+def _encode_column(column: np.ndarray, dtype: np.dtype) -> str:
+    raw = column.astype(dtype, copy=False).tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _decode_column(name: str, text) -> np.ndarray:
+    """One version-3 column: base64 text of whole 8-byte cells."""
+    if not isinstance(text, str):
+        raise ValueError(f"call_sites {name} must be a base64 string")
+    raw = base64.b64decode(text, validate=True)
+    if len(raw) % 8:
+        raise ValueError(
+            f"call_sites {name} is {len(raw)} bytes, not whole 8-byte cells"
+        )
+    return np.frombuffer(raw, _COLUMN_DTYPES[name])
+
+
+def _call_sites(sites: dict, version: int) -> CallSites:
+    if version == 2:
         return CallSites(
-            [s["api_id"] for s in sites],
-            [s["rate_multiplier"] for s in sites],
-            [s["reach_quantile"] for s in sites],
+            sites["api_id"], sites["rate_multiplier"], sites["reach_quantile"]
         )
     return CallSites(
-        sites["api_id"], sites["rate_multiplier"], sites["reach_quantile"]
+        *(_decode_column(name, sites[name]) for name in _COLUMN_DTYPES)
     )
 
 
 def apk_from_dict(record: dict) -> Apk:
-    """Rebuild an APK from its wire dict (codec version 1 or 2).
+    """Rebuild an APK from its wire dict (codec version 2 or 3).
 
     Raises:
         ValueError: unsupported codec version, ``call_sites`` columns
-            of unequal length or with invalid values, or the rebuilt
-            content hash does not match the recorded ``md5`` (corrupt
-            payload).
+            that do not decode, of unequal length or with invalid
+            values, or the rebuilt content hash does not match the
+            recorded ``md5`` (corrupt payload).
     """
     version = record.get("v")
     if type(version) is not int or version not in READABLE_VERSIONS:

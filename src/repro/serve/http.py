@@ -248,14 +248,14 @@ def decode_envelope(body: bytes) -> tuple[str, dict, int]:
     Checks the envelope only: the body is UTF-8 JSON, its ``apk`` (or
     the bare body) is an object, and its lane is a known lane name or
     number.  ``text`` is the body as received.  Raises ``ValueError``
-    on any malformed envelope.
+    on any malformed envelope, one nested too deeply to parse included.
     """
     try:
         text = body.decode("utf-8")
         payload = json.loads(text)
         apk = submission_apk(payload)
         lane = parse_lane(payload.get("lane", "bulk"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"bad submission: {exc}") from exc
     return text, apk, lane
 
@@ -265,12 +265,13 @@ def parse_submission(body: bytes) -> tuple[Apk, int, str]:
 
     The APK is built by the codec, which checks its recorded md5;
     ``text`` is the body as received, for the WAL.  Raises
-    ``ValueError`` on any malformed payload.
+    ``ValueError`` on any malformed payload, an infinite integer field
+    (``1e400``) included.
     """
     text, wire, lane = decode_envelope(body)
     try:
         apk = apk_from_dict(wire)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"bad submission: {exc}") from exc
     return apk, lane, text
 

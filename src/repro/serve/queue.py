@@ -23,12 +23,14 @@ record carries the submission body exactly as it arrived::
 The body has already passed the codec's md5 check when it is written,
 and it is never parsed and re-serialized on the way: only its raw CR
 and LF bytes — which in JSON that parsed can only be insignificant
-whitespace — become spaces, so one record stays one line.  Version-1
-records (``"apk": <wire dict>`` in place of ``"body"``) still replay,
-through the same :func:`~repro.serve.codec.apk_from_dict`; replay
-rejects a record whose rebuilt md5 differs from its header's.  Every
-record is encoded before the queue lock is taken, so the lock covers
-only the sequence number, the bookkeeping and the write itself.
+whitespace — become spaces, so one record stays one line.  The body
+may be in any codec version :func:`~repro.serve.codec.apk_from_dict`
+reads (2 or 3), and one segment may mix them; replay rejects a record
+whose rebuilt md5 differs from its header's.  Version-1 records, which
+carried a version-1 wire dict under ``"apk"``, are no longer read:
+replay stops at one with its ``file:line``.  Every record is encoded
+before the queue lock is taken, so the lock covers only the sequence
+number, the bookkeeping and the write itself.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ _LANE_NAMES = {v: k for k, v in LANES.items()}
 WAL_FORMAT_VERSION = 2
 
 #: Acceptance-record versions replay reads.
-READABLE_WAL_VERSIONS = (1, 2)
+READABLE_WAL_VERSIONS = (2,)
 
 
 class QueueFullError(RuntimeError):
@@ -301,17 +303,13 @@ class SubmissionQueue:
         self._update_depth_gauge()
 
     def _replay_submit(self, record: dict, line_no: int) -> SubmissionRecord:
-        """Rebuild one acceptance record (WAL version 1 or 2)."""
+        """Rebuild one acceptance record (WAL version 2)."""
         where = f"{self._wal_path}:{line_no}"
         version = record.get("v")
         if type(version) is not int or version not in READABLE_WAL_VERSIONS:
             raise ValueError(f"{where}: unsupported WAL version {version!r}")
         try:
-            wire = (
-                record["apk"] if version == 1
-                else submission_apk(record["body"])
-            )
-            apk = apk_from_dict(wire)
+            apk = apk_from_dict(submission_apk(record["body"]))
             entry = SubmissionRecord(
                 seq=int(record["seq"]),
                 md5=record["md5"],
@@ -319,7 +317,7 @@ class SubmissionQueue:
                 apk=apk,
                 replayed=True,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{where}: bad submit record: {exc}") from exc
         if apk.md5 != entry.md5:
             raise ValueError(

@@ -87,6 +87,32 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(TEST_SEED + 5)
 
 
+def _v2_wire(apk) -> dict:
+    """The codec-version-2 wire dict: call-site columns as JSON lists.
+
+    Byte for byte what the version-2 encoder wrote (``json.dumps`` with
+    ``separators=(",", ":")`` gives its body text), for tests that edit
+    one call-site value in place.
+    """
+    from repro.serve.codec import apk_to_dict
+
+    wire = apk_to_dict(apk)
+    wire["v"] = 2
+    sites = apk.dex.call_sites
+    wire["dex"]["call_sites"] = {
+        "api_id": sites.api_id.tolist(),
+        "rate_multiplier": sites.rate_multiplier.tolist(),
+        "reach_quantile": sites.reach_quantile.tolist(),
+    }
+    return wire
+
+
+@pytest.fixture(scope="session")
+def v2_wire():
+    """:func:`_v2_wire`, for tests that edit list columns."""
+    return _v2_wire
+
+
 @pytest.fixture()
 def poisoned_record(generator):
     """Build the wire dict of an app whose every call rate is ``rate``.
@@ -95,10 +121,10 @@ def poisoned_record(generator):
     decodes; emulating the app then overflows the invocation counts for
     a near-``float`` max rate.  (An infinite rate does not decode.)
     """
-    from repro.serve.codec import apk_from_dict, apk_to_dict
+    from repro.serve.codec import apk_from_dict
 
     def build(rate: float) -> dict:
-        record = apk_to_dict(generator.sample_app(malicious=True))
+        record = _v2_wire(generator.sample_app(malicious=True))
         rates = record["dex"]["call_sites"]["rate_multiplier"]
         record["dex"]["call_sites"]["rate_multiplier"] = [rate] * len(rates)
         del record["md5"]
@@ -106,3 +132,40 @@ def poisoned_record(generator):
         return record
 
     return build
+
+
+@pytest.fixture()
+def unparsable_bodies(generator) -> dict[str, bytes]:
+    """Submit bodies whose decode raised something other than ValueError.
+
+    An infinite number (``1e400`` or ``Infinity``) in an integer field
+    raised OverflowError, and 100,000 nested ``[`` raised
+    RecursionError.  Each body but the nested one keeps its claimed
+    md5, so a router routes it on to a shard.  Every one must get a
+    400.
+    """
+    import json
+
+    from repro.serve.codec import apk_to_dict
+
+    apk = generator.sample_app()
+    bodies = {"nested": b"[" * 100_000}
+    for path in (
+        ("manifest", "version_code"),
+        ("manifest", "min_sdk_level"),
+        ("submitted_day",),
+        ("dex", "reflection_api_ids"),
+    ):
+        for token in ("1e400", "Infinity"):
+            record = apk_to_dict(apk)
+            parent = record
+            for key in path[:-1]:
+                parent = parent[key]
+            is_list = isinstance(parent[path[-1]], list)
+            parent[path[-1]] = ["@"] if is_list else "@"
+            text = json.dumps({"apk": record, "lane": "bulk"})
+            bodies[f"{path[-1]}={token}"] = text.replace(
+                '"@"', token
+            ).encode()
+    return bodies
+

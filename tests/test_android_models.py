@@ -2,6 +2,7 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro.android.apk import Apk
@@ -104,6 +105,31 @@ def test_call_site_validation():
         CallSites([1], [0.0], [0.0])
     with pytest.raises(ValueError):
         CallSites([1], [1.0], [1.5])
+
+
+def test_call_site_validation_takes_float64_arrays():
+    # A float64 array is copied whole rather than read value by value;
+    # the rules are the same as for lists.
+    ids = np.arange(3)
+    rates = np.array([1.0, np.nan, 2.0])
+    reach = np.array([0.0, -0.0, 1.0])
+    sites = CallSites(ids, rates, reach)
+    assert sites.rate_multiplier.tobytes() == rates.tobytes()
+    assert sites.reach_quantile.tobytes() == reach.tobytes()
+    assert rates.flags.writeable  # the caller's array is not frozen
+    assert not sites.rate_multiplier.flags.writeable
+    for rates, reach in (
+        ([1.0, 0.0, 2.0], [0.5] * 3),
+        ([1.0, np.inf, 2.0], [0.5] * 3),
+        ([1.0] * 3, [0.5, 1.5, 0.5]),
+        ([1.0] * 3, [0.5, np.nan, 0.5]),
+    ):
+        with pytest.raises(ValueError):
+            CallSites(ids, np.array(rates), np.array(reach))
+    with pytest.raises(ValueError, match="flat column"):
+        CallSites(ids, np.ones((3, 1)), np.zeros(3))
+    with pytest.raises(ValueError):
+        CallSites(ids, [1.0, None, 2.0], [0.5] * 3)
 
 
 def test_dex_rejects_duplicate_sites():

@@ -1,13 +1,22 @@
 """Tests for the APK JSON wire codec."""
 
+import base64
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.android.apk import Apk
+from repro.android.dex import CallSites, DexCode
+from repro.android.manifest import AndroidManifest
 from repro.serve.codec import (
     CODEC_VERSION,
+    READABLE_VERSIONS,
     apk_from_dict,
     apk_to_dict,
+    apk_to_json,
     claimed_md5,
 )
 from repro.serve.http import parse_submission
@@ -16,11 +25,11 @@ INF = float("inf")
 NAN = float("nan")
 
 #: What ``POST /v1/submit`` makes of an odd value in the first call
-#: site of one app: the md5 the decoded app hashes to, or None for a
-#: 400.  These are the answers of the per-site decoder the columns
-#: replaced, kept value for value, except an api_id of 2**70 and a
-#: rate_multiplier of Infinity: those used to decode and then crash the
-#: emulator, and now get a 400.
+#: site of one app's version-2 (JSON list) columns: the md5 the decoded
+#: app hashes to, or None for a 400.  These are the answers of the
+#: per-site decoder the columns replaced, kept value for value, except
+#: an api_id of 2**70 and a rate_multiplier of Infinity: those used to
+#: decode and then crash the emulator, and now get a 400.
 ODD_SITE_VALUES = [
     ("api_id", 3.5, "52df482e6d4eabd802021f0c85862bce"),
     ("api_id", "3", "52df482e6d4eabd802021f0c85862bce"),
@@ -90,9 +99,14 @@ def test_updates_keep_parent_link(generator):
 
 
 def test_unknown_codec_version_rejected(generator):
+    assert (CODEC_VERSION, READABLE_VERSIONS) == (3, (2, 3))
     record = apk_to_dict(generator.sample_app())
     record["v"] = CODEC_VERSION + 1
     with pytest.raises(ValueError, match="codec version"):
+        apk_from_dict(record)
+
+    record["v"] = 1  # retired
+    with pytest.raises(ValueError, match="unsupported apk codec version: 1"):
         apk_from_dict(record)
 
     record.pop("v")
@@ -128,27 +142,30 @@ def test_call_sites_are_columns(generator):
     apk = generator.sample_app()
     sites = apk_to_dict(apk)["dex"]["call_sites"]
     assert sorted(sites) == ["api_id", "rate_multiplier", "reach_quantile"]
-    assert sites["api_id"] == apk.dex.call_sites.api_id.tolist()
-    assert sites["rate_multiplier"] == (
-        apk.dex.call_sites.rate_multiplier.tolist()
-    )
-    assert sites["reach_quantile"] == (
-        apk.dex.call_sites.reach_quantile.tolist()
-    )
+    # Each column is the base64 text of its little-endian cells.
+    for name, dtype in (
+        ("api_id", "<i8"),
+        ("rate_multiplier", "<f8"),
+        ("reach_quantile", "<f8"),
+    ):
+        column = getattr(apk.dex.call_sites, name)
+        assert sites[name] == base64.b64encode(
+            column.astype(dtype).tobytes()
+        ).decode("ascii")
 
 
 @pytest.mark.parametrize(
     "column", ["api_id", "rate_multiplier", "reach_quantile"]
 )
-def test_unequal_call_site_columns_rejected(generator, column):
-    record = apk_to_dict(generator.sample_app())
+def test_unequal_call_site_columns_rejected(generator, v2_wire, column):
+    record = v2_wire(generator.sample_app())
     record["dex"]["call_sites"][column].pop()
     with pytest.raises(ValueError, match="differ in length"):
         apk_from_dict(record)
 
 
-def test_call_sites_still_validated_per_site(generator):
-    record = apk_to_dict(generator.sample_app())
+def test_call_sites_still_validated_per_site(generator, v2_wire):
+    record = v2_wire(generator.sample_app())
     record.pop("md5")
     record["dex"]["call_sites"]["api_id"][0] = -1
     with pytest.raises(ValueError):
@@ -177,8 +194,10 @@ def test_claimed_md5_accepts_only_lowercase_hex(generator):
     ODD_SITE_VALUES,
     ids=[f"{c}={v!r}" for c, v, _ in ODD_SITE_VALUES],
 )
-def test_odd_call_site_values_keep_their_answers(generator, column, value, md5):
-    record = apk_to_dict(generator.sample_app(malicious=True))
+def test_odd_call_site_values_keep_their_answers(
+    generator, v2_wire, column, value, md5
+):
+    record = v2_wire(generator.sample_app(malicious=True))
     record.pop("md5")
     record["dex"]["call_sites"][column][0] = value
     body = json.dumps({"apk": record}).encode()
@@ -188,3 +207,56 @@ def test_odd_call_site_values_keep_their_answers(generator, column, value, md5):
             parse_submission(body)
     else:
         assert parse_submission(body)[0].md5 == md5
+
+
+# ----------------------------------------------------------------------
+# Version 3: binary columns
+# ----------------------------------------------------------------------
+
+#: Call sites at the edges of what a column holds: ids up to 2**62,
+#: NaN and 1e300 rates, subnormals, and a reach of -0.0.
+_SITE = st.tuples(
+    st.integers(0, 2**62),
+    st.one_of(
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        st.sampled_from([float("nan"), 1e300, 5e-324]),
+    ),
+    st.one_of(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.sampled_from([-0.0, 5e-324, 1.0]),
+    ),
+)
+
+
+def _app_with(sites: CallSites) -> Apk:
+    return Apk(
+        manifest=AndroidManifest(package_name="com.example.columns"),
+        dex=DexCode(call_sites=sites),
+        is_malicious=False,
+        family="benign",
+    )
+
+
+@given(sites=st.lists(_SITE, max_size=40, unique_by=lambda s: s[0]))
+@settings(max_examples=80, deadline=None)
+def test_v3_columns_round_trip_bit_exactly(v2_wire, sites):
+    ids, rates, reach = zip(*sites) if sites else ((), (), ())
+    apk = _app_with(CallSites(ids, rates, reach))
+    from_v3 = apk_from_dict(json.loads(apk_to_json(apk)))
+    from_v2 = apk_from_dict(json.loads(json.dumps(v2_wire(apk))))
+    for name in ("api_id", "rate_multiplier", "reach_quantile"):
+        # tobytes, not ==: NaN != NaN, and -0.0 == 0.0.
+        cells = getattr(apk.dex.call_sites, name).tobytes()
+        assert getattr(from_v3.dex.call_sites, name).tobytes() == cells
+        assert getattr(from_v2.dex.call_sites, name).tobytes() == cells
+    assert from_v3.md5 == from_v2.md5 == apk.md5
+    assert from_v3.dex == dataclasses.replace(
+        from_v2.dex, call_sites=from_v3.dex.call_sites
+    )
+
+
+def test_v3_columns_are_read_only_copies(generator):
+    apk = apk_from_dict(json.loads(apk_to_json(generator.sample_app())))
+    for name in ("api_id", "rate_multiplier", "reach_quantile"):
+        column = getattr(apk.dex.call_sites, name)
+        assert column.dtype.isnative and not column.flags.writeable

@@ -1,10 +1,13 @@
-"""Version-1 payloads and WAL segments still decode and replay.
+"""Version-2 payloads and WAL segments still decode and replay.
 
-Codec version 2 stores ``dex.call_sites`` as three parallel columns and
-WAL version 2 keeps the submission body as it arrived.  Both readers
-still accept version 1, so bodies from older clients and WAL segments
-written before the change keep working.  The version-1 records here come
-from a test-local encoder, not from the package.
+Codec version 3 stores ``dex.call_sites`` as base64 binary columns;
+version 2 stored them as JSON number lists, and every WAL written
+before version 3 holds version-2 bodies verbatim, so the codec still
+reads version 2 and a segment may mix both.  Version 1 (one object per
+call site, carried under ``"apk"`` in version-1 WAL records) is no
+longer read: a version-1 body is a 400, and a version-1 WAL record
+stops replay at its ``file:line``.  The old records here come from
+test-local encoders, not from the package.
 """
 
 import json
@@ -13,7 +16,13 @@ import pytest
 
 from repro.obs import MetricsRegistry
 from repro.serve.codec import apk_from_dict, apk_to_dict, apk_to_json
-from repro.serve.queue import LANE_BULK, LANE_ESCALATED, SubmissionQueue
+from repro.serve.http import ServiceApi, parse_submission
+from repro.serve.queue import (
+    LANE_BULK,
+    LANE_ESCALATED,
+    READABLE_WAL_VERSIONS,
+    SubmissionQueue,
+)
 from repro.serve.registry import ModelRegistry
 from repro.serve.service import OnlineVettingService
 
@@ -73,10 +82,10 @@ def apps(generator):
 # ----------------------------------------------------------------------
 
 
-def test_v1_wire_dict_rebuilds_field_exact(generator):
+def test_v2_wire_dict_rebuilds_field_exact(generator, v2_wire):
     for malicious in (False, True):
         apk = generator.sample_app(malicious=malicious)
-        wire = json.loads(json.dumps(v1_wire(apk)))
+        wire = json.loads(json.dumps(v2_wire(apk)))
         rebuilt = apk_from_dict(wire)
         assert rebuilt.md5 == apk.md5 == wire["md5"]
         assert rebuilt.manifest == apk.manifest
@@ -88,17 +97,34 @@ def test_v1_wire_dict_rebuilds_field_exact(generator):
         assert rebuilt.parent_md5 == apk.parent_md5
 
 
-def test_v1_and_v2_decode_to_the_same_apk(generator):
+def test_v1_body_is_a_400(tmp_path, models, generator):
     apk = generator.sample_app(malicious=True)
-    from_v1 = apk_from_dict(json.loads(json.dumps(v1_wire(apk))))
-    from_v2 = apk_from_dict(json.loads(apk_to_json(apk)))
-    assert from_v1 == from_v2 and from_v1.md5 == from_v2.md5
+    body = json.dumps({"apk": v1_wire(apk), "lane": "bulk"}).encode()
+    with pytest.raises(ValueError, match="unsupported apk codec version: 1"):
+        parse_submission(body)
+    service = OnlineVettingService(models, spool_dir=tmp_path / "spool")
+    try:
+        response = ServiceApi(service).submit(body)
+    finally:
+        service.close()
+    assert response.status == 400
+    error = response.payload["error"]
+    assert error["code"] == "bad_request"
+    assert "unsupported apk codec version: 1" in error["message"]
+    assert (tmp_path / "spool" / "queue.wal").read_text("utf-8") == ""
 
 
-def test_v2_body_is_smaller_than_v1(generator):
+def test_v2_and_v3_decode_to_the_same_apk(generator, v2_wire):
+    apk = generator.sample_app(malicious=True)
+    from_v2 = apk_from_dict(json.loads(json.dumps(v2_wire(apk))))
+    from_v3 = apk_from_dict(json.loads(apk_to_json(apk)))
+    assert from_v2 == from_v3 and from_v2.md5 == from_v3.md5
+
+
+def test_v3_body_is_smaller_than_v2(generator, v2_wire):
     apk = generator.sample_app()
     assert len(apk_to_json(apk)) < len(
-        json.dumps(v1_wire(apk), separators=(",", ":"))
+        json.dumps(v2_wire(apk), separators=(",", ":"))
     )
 
 
@@ -143,30 +169,38 @@ def _replay_and_drain(models, spool):
     return replayed, recovered, dict(service.results), done_counts
 
 
-def test_v1_and_mixed_segments_replay_identically(tmp_path, models, apps):
-    """Same submissions, same completions, either record version."""
+def test_v2_and_mixed_segments_replay_identically(
+    tmp_path, models, apps, v2_wire
+):
+    """Same submissions, same completions, either body version."""
     lanes = [LANE_ESCALATED if i % 4 == 0 else LANE_BULK
              for i in range(len(apps))]
     finished = {"md5": apps[0].md5, "status": "done", "malicious": True}
 
-    def segment(v2_every: int | None) -> list[str]:
+    def segment(v3_every: int | None) -> list[str]:
         lines = []
         for seq, (apk, lane) in enumerate(zip(apps, lanes), start=1):
-            if v2_every and seq % v2_every == 0:
-                body = json.dumps({"apk": apk_to_dict(apk), "lane": lane})
-                lines.append(v2_submit_line(seq, apk, lane, body))
+            if v3_every and seq % v3_every == 0:
+                wire = apk_to_dict(apk)
             else:
-                lines.append(v1_submit_line(seq, apk, lane))
+                wire = v2_wire(apk)
+            # Bare bodies and envelopes, as the version-2 encoder wrote
+            # them (its apk_to_json text is the compact dump).
+            if seq % 3:
+                body = json.dumps({"apk": wire, "lane": lane})
+            else:
+                body = json.dumps(wire, separators=(",", ":"))
+            lines.append(v2_submit_line(seq, apk, lane, body))
             if seq == 1:
                 lines.append(_done_line(1, apk.md5, finished))
         return lines
 
-    v1_only = _replay_and_drain(
-        models, _spool_with(tmp_path, "v1", segment(None)))
+    v2_only = _replay_and_drain(
+        models, _spool_with(tmp_path, "v2", segment(None)))
     mixed = _replay_and_drain(
         models, _spool_with(tmp_path, "mixed", segment(2)))
 
-    assert v1_only == mixed
+    assert v2_only == mixed
     replayed, recovered, results, done_counts = mixed
     assert replayed == len(apps) - 1
     assert recovered == {apps[0].md5: finished}
@@ -215,16 +249,21 @@ def test_replay_rejects_body_whose_md5_differs_from_header(tmp_path, apps):
         SubmissionQueue(spool)
 
 
-def test_replay_rejects_v1_record_whose_md5_differs(tmp_path, apps):
-    record = json.loads(v1_submit_line(1, apps[0], LANE_BULK))
-    record["apk"] = v1_wire(apps[1])
-    spool = _spool_with(tmp_path, "forged", [json.dumps(record)])
-    with pytest.raises(ValueError, match="does not match"):
+def test_v1_wal_record_fails_replay_with_file_line(tmp_path, apps):
+    assert READABLE_WAL_VERSIONS == (2,)
+    lines = [
+        v2_submit_line(1, apps[0], LANE_BULK, apk_to_json(apps[0])),
+        v1_submit_line(2, apps[1], LANE_BULK),
+    ]
+    spool = _spool_with(tmp_path, "v1", lines)
+    with pytest.raises(
+        ValueError, match=r"queue\.wal:2: unsupported WAL version 1$"
+    ):
         SubmissionQueue(spool)
 
 
-def test_replay_rejects_undecodable_body(tmp_path, apps):
-    wire = apk_to_dict(apps[0])
+def test_replay_rejects_undecodable_body(tmp_path, apps, v2_wire):
+    wire = v2_wire(apps[0])
     wire["dex"]["call_sites"]["api_id"].pop()
     line = v2_submit_line(1, apps[0], LANE_BULK, json.dumps(wire))
     spool = _spool_with(tmp_path, "bad", [line])

@@ -1,11 +1,13 @@
 """Tests for the versioned (/v1) HTTP JSON API over the vetting service."""
 
+import base64
 import http.client
 import json
 import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.serve.codec import apk_to_dict
@@ -23,6 +25,22 @@ def served(tmp_path, fitted_checker):
     service.start()
     server = make_server(service).start_background()
     yield service, f"http://127.0.0.1:{server.port}"
+    server.stop()
+    service.close()
+
+
+@pytest.fixture()
+def spooled(tmp_path, fitted_checker):
+    """A service with a WAL behind an HTTP server, never started.
+
+    Yields ``(service, base url, WAL path)``.
+    """
+    models = ModelRegistry(tmp_path / "models")
+    models.publish(fitted_checker, activate=True)
+    spool = tmp_path / "spool"
+    service = OnlineVettingService(models, spool_dir=spool)
+    server = make_server(service).start_background()
+    yield service, f"http://127.0.0.1:{server.port}", spool / "queue.wal"
     server.stop()
     service.close()
 
@@ -297,14 +315,14 @@ def test_accepted_body_reaches_the_wal_verbatim(
 
 
 def test_infinite_rate_is_400_before_the_wal(
-    tmp_path, fitted_checker, generator
+    tmp_path, fitted_checker, generator, v2_wire
 ):
     models = ModelRegistry(tmp_path / "models")
     models.publish(fitted_checker, activate=True)
     spool = tmp_path / "spool"
     service = OnlineVettingService(models, spool_dir=spool)
     server = make_server(service).start_background()
-    record = apk_to_dict(generator.sample_app(malicious=True))
+    record = v2_wire(generator.sample_app(malicious=True))
     record["dex"]["call_sites"]["rate_multiplier"][0] = float("inf")
     body = json.dumps({"apk": record}).encode()
     assert b"Infinity" in body
@@ -508,3 +526,85 @@ def test_poisoned_body_fails_alone(served, generator, poisoned_record, rate):
     assert "OverflowError" in outcome["reason"]
     assert _drain_result(base, later.md5)["status"] == "done"
     assert service.running
+
+
+def test_unparsable_bodies_are_400_before_the_wal(
+    spooled, unparsable_bodies
+):
+    """Overflowing numbers and deep nesting: a 400, not a dropped
+    connection."""
+    service, base, wal = spooled
+    for name, body in unparsable_bodies.items():
+        status, err = _post(f"{base}/v1/submit", None, raw=body)
+        assert status == 400, name
+        assert err["error"]["code"] == "bad_request", name
+        assert "bad submission" in err["error"]["message"], name
+    assert wal.read_text("utf-8") == ""
+    assert service.queue.depth == 0
+
+
+def _b64(values, dtype: str) -> str:
+    return base64.b64encode(np.asarray(values, dtype).tobytes()).decode()
+
+
+def _first_set(column: np.ndarray, value) -> np.ndarray:
+    edited = column.copy()
+    edited[0] = value
+    return edited
+
+
+#: Version-3 call-site columns a submission is refused for:
+#: ``(case, column, the column built from the app's CallSites,
+#: message)``.  A column of None forges the md5 instead.
+REJECTED_V3_COLUMNS = [
+    ("list column", "api_id", lambda s: s.api_id.tolist(),
+     "must be a base64 string"),
+    ("null column", "rate_multiplier", lambda s: None,
+     "must be a base64 string"),
+    ("bad base64", "reach_quantile", lambda s: "AAAA*AAA",
+     "bad submission"),
+    ("12 bytes", "api_id", lambda s: _b64(np.zeros(12), "u1"),
+     "not whole 8-byte cells"),
+    ("unequal lengths", "rate_multiplier",
+     lambda s: _b64(s.rate_multiplier[:-1], "<f8"), "differ in length"),
+    ("id -1", "api_id", lambda s: _b64(_first_set(s.api_id, -1), "<i8"),
+     "api_id must be non-negative"),
+    ("rate 0", "rate_multiplier",
+     lambda s: _b64(_first_set(s.rate_multiplier, 0.0), "<f8"),
+     "rate_multiplier must be positive and finite"),
+    ("rate +inf", "rate_multiplier",
+     lambda s: _b64(_first_set(s.rate_multiplier, np.inf), "<f8"),
+     "rate_multiplier must be positive and finite"),
+    ("reach 1.5", "reach_quantile",
+     lambda s: _b64(_first_set(s.reach_quantile, 1.5), "<f8"),
+     "reach_quantile must be in [0, 1]"),
+    ("reach NaN", "reach_quantile",
+     lambda s: _b64(_first_set(s.reach_quantile, np.nan), "<f8"),
+     "reach_quantile must be in [0, 1]"),
+    ("duplicate ids", "api_id",
+     lambda s: _b64(_first_set(s.api_id, s.api_id[1]), "<i8"),
+     "duplicate call site"),
+    ("forged md5", None, None, "corrupt"),
+]
+
+
+@pytest.mark.parametrize(
+    "column,rebuild,message",
+    [case[1:] for case in REJECTED_V3_COLUMNS],
+    ids=[case[0] for case in REJECTED_V3_COLUMNS],
+)
+def test_rejected_v3_columns_are_400_before_the_wal(
+    spooled, generator, column, rebuild, message
+):
+    service, base, wal = spooled
+    apk = generator.sample_app(malicious=True)
+    record = apk_to_dict(apk)
+    if column is None:
+        record["md5"] = generator.sample_app().md5
+    else:
+        record["dex"]["call_sites"][column] = rebuild(apk.dex.call_sites)
+    status, err = _post(f"{base}/v1/submit", {"apk": record})
+    assert status == 400 and err["error"]["code"] == "bad_request"
+    assert message in err["error"]["message"]
+    assert wal.read_text("utf-8") == "" and service.queue.depth == 0
+

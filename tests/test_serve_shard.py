@@ -352,6 +352,31 @@ def test_front_door_503_envelope_when_shard_down(
             server.stop()
 
 
+def test_router_answers_unparsable_bodies_400_not_503(
+    model_dir, tmp_path, unparsable_bodies
+):
+    """A body that crashed the shard's handler was retried, then 503."""
+    with _router(model_dir, tmp_path, n_shards=1) as router:
+        server = make_router_server(router).start_background()
+        base = f"http://127.0.0.1:{server.port}"
+        try:
+            for name, body in unparsable_bodies.items():
+                request = urllib.request.Request(
+                    f"{base}/v1/submit", data=body,
+                    headers={"Content-Type": "application/json"},
+                )
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    urllib.request.urlopen(request, timeout=10.0)
+                assert excinfo.value.code == 400, name
+                err = json.load(excinfo.value)["error"]
+                assert err["code"] == "bad_request", name
+        finally:
+            server.stop()
+        assert router.metrics.total("serve_router_proxy_errors_total") == 0
+    wal = shard_spool(tmp_path / "spool", 0) / "queue.wal"
+    assert wal.read_text("utf-8") == ""
+
+
 def test_router_stop_reports_abandoned_submissions(
     model_dir, tmp_path, generator
 ):
@@ -598,3 +623,20 @@ def test_front_door_malformed_md5_is_decoded_and_rejected(fleet, generator):
     assert response.status == 400
     assert "corrupt" in response.payload["error"]["message"]
     assert fleet.calls == []
+
+
+def test_front_door_unparsable_bodies_are_400(fleet, unparsable_bodies):
+    api = RouterApi(fleet)
+    for name, body in unparsable_bodies.items():
+        response = api.submit(body)
+        assert response.status == 400, name
+        payload = (
+            json.loads(response.text) if response.text is not None
+            else response.payload
+        )
+        assert payload["error"]["code"] == "bad_request", name
+    # Only the nested body is refused at the front door; the others are
+    # routed on their claimed md5 and refused by the owning shard.
+    assert len(fleet.calls) == len(unparsable_bodies) - 1
+    assert all(s.queue.depth == 0 for s in fleet.services)
+
