@@ -27,7 +27,6 @@ traffic; entries optionally persist as JSON lines compatible with
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 import traceback
@@ -53,6 +52,7 @@ from repro.obs import (
     SpanSink,
     record_span,
 )
+from repro.records import RecordLog
 
 #: Emulator slots of the one analysis server: 16 of its 20 cores run
 #: emulators, the other 4 schedule, monitor and log (§4.2), and the
@@ -200,54 +200,20 @@ class ObservationCache:
     verdicts: one :class:`~repro.core.reporting.LogRecord` per line.
 
     Args:
-        path: JSON-lines file to load from / append to.  Missing files
-            are created on first :meth:`put`; ``None`` keeps the cache
-            purely in memory.
+        path: a :class:`repro.records.RecordLog` to load and append
+            to, created now (an unwritable location fails before a day
+            of emulation); ``None`` keeps the cache purely in memory.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._entries: dict[str, AppObservation] = {}
         self._lock = threading.Lock()
-        if self.path is not None:
-            if self.path.exists():
-                self._load()
-            else:
-                # Fail on an unwritable location now, not after a full
-                # day of emulation when the first entry is appended.
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-
-    def _load(self) -> None:
-        """Read the file, repairing a tail torn by a killed :meth:`put`.
-
-        An unparsable final line with no newline was never fully
-        written: it is dropped and cut off the file (the app costs one
-        re-emulation).  A final line that parses but lacks its newline
-        is terminated, so the next append starts a line of its own.
-        Any other unparsable line is corruption and raises.
-        """
-        intact = 0  # bytes through the last line read
-        raw = b""
-        with self.path.open("rb") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                intact += len(raw)
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError as exc:
-                    if raw.endswith(b"\n"):
-                        raise ValueError(
-                            f"{self.path}:{line_no}: malformed cache line"
-                        ) from exc
-                    os.truncate(self.path, intact - len(raw))
-                    return
+        self._log = RecordLog(path, "cache") if path is not None else None
+        if self._log is not None:
+            for _, record in self._log.replay():
                 obs = LogRecord.from_dict(record).observation
                 self._entries[obs.apk_md5] = obs
-        if raw and not raw.endswith(b"\n"):
-            with self.path.open("ab") as tail:
-                tail.write(b"\n")
 
     def get(self, md5: str) -> AppObservation | None:
         """Look up an observation (None on a miss)."""
@@ -260,10 +226,9 @@ class ObservationCache:
             if obs.apk_md5 in self._entries:
                 return
             self._entries[obs.apk_md5] = obs
-            if self.path is not None:
+            if self._log is not None:
                 line = json.dumps(LogRecord(obs).to_dict()) + "\n"
-                with self.path.open("a", encoding="utf-8") as fh:
-                    fh.write(line)
+                self._log.append(line.encode())
 
     def __contains__(self, md5: str) -> bool:
         with self._lock:

@@ -17,6 +17,7 @@ from typing import Iterable, Iterator
 
 from repro.core.checker import VetVerdict
 from repro.core.features import AppObservation
+from repro.records import atomic_write, read_records
 
 FORMAT_VERSION = 1
 
@@ -81,12 +82,11 @@ def write_log(
     observations: Iterable[AppObservation],
     verdicts: Iterable[VetVerdict | None] | None = None,
 ) -> int:
-    """Write analysis records as JSON lines; returns the record count.
+    """Write (replace whole) a JSON-lines log; returns the record count.
 
     ``verdicts``, when given, must align one-to-one with
     ``observations`` (use None entries for apps without verdicts).
     """
-    path = Path(path)
     observations = list(observations)
     if verdicts is None:
         verdict_list: list[VetVerdict | None] = [None] * len(observations)
@@ -94,28 +94,18 @@ def write_log(
         verdict_list = list(verdicts)
         if len(verdict_list) != len(observations):
             raise ValueError("verdicts must align with observations")
-    with path.open("w", encoding="utf-8") as fh:
-        for obs, verdict in zip(observations, verdict_list):
-            fh.write(json.dumps(LogRecord(obs, verdict).to_dict()))
-            fh.write("\n")
+    text = "".join(
+        json.dumps(LogRecord(obs, verdict).to_dict()) + "\n"
+        for obs, verdict in zip(observations, verdict_list)
+    )
+    atomic_write(path, text.encode())
     return len(observations)
 
 
 def read_log(path: str | Path) -> Iterator[LogRecord]:
     """Yield records from a JSON-lines analysis log."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{path}:{line_no}: malformed log line"
-                ) from exc
-            yield LogRecord.from_dict(record)
+    for _, record in read_records(path, "log"):
+        yield LogRecord.from_dict(record)
 
 
 def read_observations(path: str | Path) -> list[AppObservation]:

@@ -30,6 +30,7 @@ from repro.obs.registry import (
     MetricsRegistry,
     default_registry,
 )
+from repro.records import RecordLog, read_records
 
 __all__ = ["SpanEvent", "SpanSink", "span", "record_span"]
 
@@ -90,7 +91,8 @@ class SpanSink:
 
     Thread-safe.  The in-memory buffer is bounded (``capacity``) so a
     long-running service cannot grow without limit; the JSONL file, when
-    given, receives every event.
+    given, is a :class:`repro.records.RecordLog`: opening a sink cuts
+    off an event torn by a killed process, so new ones never glue on.
     """
 
     def __init__(
@@ -102,17 +104,18 @@ class SpanSink:
         self._events: deque[SpanEvent] = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self.emitted = 0
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._log = RecordLog(path, "span") if path is not None else None
+        if self._log is not None:
+            for _ in self._log.replay():  # repairs a torn tail
+                pass
 
     def emit(self, event: SpanEvent) -> None:
         with self._lock:
             self._events.append(event)
             self.emitted += 1
-            if self.path is not None:
-                with self.path.open("a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(event.to_dict(), sort_keys=True))
-                    fh.write("\n")
+            if self._log is not None:
+                line = json.dumps(event.to_dict(), sort_keys=True) + "\n"
+                self._log.append(line.encode())
 
     def __getstate__(self) -> dict:
         """Pickle support (mirrors :meth:`MetricsRegistry.__getstate__`)."""
@@ -140,20 +143,8 @@ class SpanSink:
     @staticmethod
     def read(path: str | Path) -> list[SpanEvent]:
         """Load span events back from a JSONL trace file."""
-        events = []
-        with Path(path).open("r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(
-                        f"{path}:{line_no}: malformed span line"
-                    ) from exc
-                events.append(SpanEvent.from_dict(record))
-        return events
+        records = read_records(path, "span")
+        return [SpanEvent.from_dict(record) for _, record in records]
 
 
 _stack = threading.local()

@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.core.features import AppObservation, FeatureSpace
 from repro.obs import MetricsRegistry
+from repro.records import atomic_write
 from repro.rules.builtin import builtin_ruleset
 from repro.rules.lint import lint_ruleset
 from repro.rules.spec import RuleSpec
@@ -178,9 +179,7 @@ class MinedRuleset:
         """Write the artifact atomically; returns the final path."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(self.to_json(), encoding="utf-8")
-        tmp.replace(path)
+        atomic_write(path, self.to_json().encode())
         return path
 
 

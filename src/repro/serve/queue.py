@@ -30,19 +30,20 @@ whose rebuilt md5 differs from its header's.  Version-1 records, which
 carried a version-1 wire dict under ``"apk"``, are no longer read:
 replay stops at one with its ``file:line``.  Every record is encoded
 before the queue lock is taken, so the lock covers only the sequence
-number, the bookkeeping and the write itself.
+number, the bookkeeping and the one ``write`` of a
+:class:`repro.records.RecordLog`, which holds no file handle.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.android.apk import Apk
 from repro.obs import MetricsRegistry
+from repro.records import RecordLog
 from repro.serve.codec import apk_from_dict, apk_to_json, submission_apk
 
 __all__ = [
@@ -181,8 +182,8 @@ class SubmissionQueue:
         registry: metrics registry for queue telemetry.
         fsync: force an ``os.fsync`` after every WAL append (durability
             against power loss, not just process crash).  Defaults to
-            False: flush-on-write survives a killed process, which is
-            the failure mode the replay tests exercise.
+            False: a written record survives a killed process, which
+            is the failure mode the replay tests exercise.
     """
 
     def __init__(
@@ -197,7 +198,6 @@ class SubmissionQueue:
         self.spool_dir = Path(spool_dir) if spool_dir is not None else None
         self.max_depth = max_depth
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.fsync = fsync
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._lanes: dict[int, list[SubmissionRecord]] = {
@@ -208,91 +208,53 @@ class SubmissionQueue:
         self._pending: dict[str, SubmissionRecord] = {}
         #: seq of records handed to a consumer but not yet marked done.
         self._inflight: dict[int, SubmissionRecord] = {}
-        #: md5 -> terminal outcome dict (from live completion or replay).
+        #: md5 -> terminal outcome dict (from live completion or replay);
+        #: the service's one outcome store.
         self.completed: dict[str, dict] = {}
         self._seq = 0
         self._closed = False
-        self._wal_path: Path | None = None
-        self._wal = None
+        self._wal: RecordLog | None = None
         if self.spool_dir is not None:
-            self.spool_dir.mkdir(parents=True, exist_ok=True)
-            self._wal_path = self.spool_dir / "queue.wal"
-            if self._wal_path.exists():
-                self._replay()
-            self._wal = self._wal_path.open("a", encoding="utf-8")
+            self._wal = RecordLog(self.spool_dir / "queue.wal", "WAL", fsync)
+            self._replay()
 
     # ------------------------------------------------------------------
     # WAL
     # ------------------------------------------------------------------
 
-    def _append(self, *parts: str) -> None:
-        """Write one already-encoded record line (lock held)."""
-        if self._wal is None:
-            return
-        for part in parts:
-            self._wal.write(part)
-        self._wal.flush()
-        if self.fsync:
-            os.fsync(self._wal.fileno())
-
     def _replay(self) -> None:
         """Rebuild queue state from the WAL (crash recovery).
 
-        A process killed inside :meth:`_append` can leave a torn final
-        record: a last line with no newline that does not parse.  It
-        was never acknowledged, so it is dropped, counted in
-        ``serve_wal_torn_records_total``, and cut off the file before
-        the next append could glue a record onto it.  A final record
-        that parses but lacks its newline is kept and terminated.  Any
-        other line that does not parse is corruption and raises.
+        A torn final record was never acknowledged: the log drops it and
+        it is counted in ``serve_wal_torn_records_total``.
         """
         accepted: dict[int, SubmissionRecord] = {}
-        intact = 0  # bytes through the last line read
-        with self._wal_path.open("rb") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                intact += len(raw)
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError as exc:
-                    if raw.endswith(b"\n"):
-                        raise ValueError(
-                            f"{self._wal_path}:{line_no}: malformed WAL line"
-                        ) from exc
-                    os.truncate(self._wal_path, intact - len(raw))
-                    self.registry.inc("serve_wal_torn_records_total")
-                    break
-                kind = record.get("type")
-                if kind == "submit":
-                    entry = self._replay_submit(record, line_no)
-                    accepted[entry.seq] = entry
-                    self._seq = max(self._seq, entry.seq)
-                elif kind == "done":
-                    seq = int(record["seq"])
-                    entry = accepted.pop(seq, None)
-                    md5 = record.get("md5") or (
-                        entry.md5 if entry is not None else None
-                    )
-                    if md5 is not None:
-                        self.completed[md5] = record.get("outcome", {})
-                else:
-                    raise ValueError(
-                        f"{self._wal_path}:{line_no}: unknown WAL record "
-                        f"type {kind!r}"
-                    )
+        for line_no, record in self._wal.replay():
+            kind = record.get("type")
+            if kind == "submit":
+                entry = self._replay_submit(record, line_no)
+                accepted[entry.seq] = entry
+                self._seq = max(self._seq, entry.seq)
+            elif kind == "done":
+                seq = int(record["seq"])
+                entry = accepted.pop(seq, None)
+                md5 = record.get("md5") or (
+                    entry.md5 if entry is not None else None
+                )
+                if md5 is not None:
+                    self.completed[md5] = record.get("outcome", {})
             else:
-                if intact and not raw.endswith(b"\n"):
-                    with self._wal_path.open("ab") as tail:
-                        tail.write(b"\n")
+                raise ValueError(
+                    f"{self._wal.path}:{line_no}: unknown WAL record "
+                    f"type {kind!r}"
+                )
+        if self._wal.torn:
+            self.registry.inc("serve_wal_torn_records_total", self._wal.torn)
         replayed = 0
         for seq in sorted(accepted):
             entry = accepted[seq]
-            if entry.md5 in self.completed:
-                # A duplicate submission whose md5 already reached a
-                # terminal outcome: done, nothing to re-score.
-                continue
+            # Pending as before the crash, even when an earlier
+            # submission of the md5 has an outcome in `completed`.
             if entry.md5 in self._pending:
                 continue  # coalesce duplicate pending submissions
             self._lanes[entry.lane].append(entry)
@@ -304,7 +266,7 @@ class SubmissionQueue:
 
     def _replay_submit(self, record: dict, line_no: int) -> SubmissionRecord:
         """Rebuild one acceptance record (WAL version 2)."""
-        where = f"{self._wal_path}:{line_no}"
+        where = f"{self._wal.path}:{line_no}"
         version = record.get("v")
         if type(version) is not int or version not in READABLE_WAL_VERSIONS:
             raise ValueError(f"{where}: unsupported WAL version {version!r}")
@@ -354,12 +316,12 @@ class SubmissionQueue:
             QueueFullError: the queue is at ``max_depth``.
         """
         lane = parse_lane(lane)
-        if body is not None:
+        if self._wal is not None:
+            if body is None:
+                body = apk_to_json(apk)
             # Raw CR/LF in JSON that parsed can only be whitespace; as
             # spaces they keep the record on one line.
-            body = body.replace("\r", " ").replace("\n", " ")
-        elif self._wal_path is not None:
-            body = apk_to_json(apk)
+            body = body.replace("\r", " ").replace("\n", " ").encode()
         with self._lock:
             if self._closed:
                 raise RuntimeError("queue is closed")
@@ -376,13 +338,13 @@ class SubmissionQueue:
             entry = SubmissionRecord(
                 seq=self._seq, md5=apk.md5, lane=lane, apk=apk
             )
-            self._append(
-                f'{{"type": "submit", "v": {WAL_FORMAT_VERSION}, '
-                f'"seq": {entry.seq}, "md5": "{entry.md5}", '
-                f'"lane": {lane}, "body": ',
-                body,
-                "}\n",
-            )
+            if self._wal is not None:
+                header = (
+                    f'{{"type": "submit", "v": {WAL_FORMAT_VERSION}, '
+                    f'"seq": {entry.seq}, "md5": "{entry.md5}", '
+                    f'"lane": {lane}, "body": '
+                )
+                self._wal.append(b"".join((header.encode(), body, b"}\n")))
             self._lanes[lane].append(entry)
             self._pending[apk.md5] = entry
             self.registry.inc(
@@ -453,8 +415,10 @@ class SubmissionQueue:
             },
             sort_keys=True,
         )
+        line = (line + "\n").encode()
         with self._lock:
-            self._append(line, "\n")
+            if self._wal is not None:
+                self._wal.append(line)
             self._inflight.pop(entry.seq, None)
             live = self._pending.get(entry.md5)
             if live is not None and live.seq == entry.seq:
@@ -518,14 +482,24 @@ class SubmissionQueue:
     def status(self, md5: str) -> str:
         """``pending`` / ``in_flight`` / ``done`` / ``unknown``."""
         with self._lock:
-            if md5 in self.completed:
-                return "done"
-            entry = self._pending.get(md5)
-            if entry is None:
-                return "unknown"
-            if entry.seq in self._inflight:
-                return "in_flight"
-            return "pending"
+            return "done" if md5 in self.completed else self._live_status(md5)
+
+    def result(self, md5: str) -> dict:
+        """The terminal outcome, else ``{md5, status}``: one read under
+        the lock, so never ``done`` without the outcome."""
+        with self._lock:
+            outcome = self.completed.get(md5)
+            if outcome is not None:
+                return outcome
+            return {"md5": md5, "status": self._live_status(md5)}
+
+    def _live_status(self, md5: str) -> str:  # lock held
+        entry = self._pending.get(md5)
+        if entry is None:
+            return "unknown"
+        if entry.seq in self._inflight:
+            return "in_flight"
+        return "pending"
 
     def _update_depth_gauge(self) -> None:
         # The unlabelled series is the total (pending + in flight); the
@@ -539,13 +513,10 @@ class SubmissionQueue:
             )
 
     def close(self) -> None:
-        """Stop accepting, wake blocked consumers, close the WAL."""
+        """Stop accepting and wake blocked consumers."""
         with self._lock:
             self._closed = True
             self._not_empty.notify_all()
-            if self._wal is not None:
-                self._wal.close()
-                self._wal = None
 
     def __enter__(self) -> "SubmissionQueue":
         return self

@@ -4,10 +4,11 @@ The deployed service swaps a monthly retrained model (§5.3) and a
 pushed behavior ruleset in without downtime.  Both run on one
 mechanism, :class:`ArtifactStore`, whose two subclasses are its codecs
 (a pickled :class:`ApiChecker`, ruleset JSON): artifacts and the
-manifest are written via temp file + rename, every load checks the
-artifact's SHA-256 against the manifest, the active version is swapped
-atomically under a reader/writer lock (every micro-batch runs under one
-read lease), and reopening a root restores the live versions.
+manifest are replaced by :func:`repro.records.atomic_write`, every load
+checks the artifact's SHA-256 against the manifest, the active version
+is swapped atomically under a reader/writer lock (every micro-batch
+runs under one read lease), and reopening a root restores the live
+versions.
 
 :class:`ModelRegistry` adds a **shadow** candidate scored against the
 same traffic and one promoter, :meth:`ModelRegistry.promote`, whose
@@ -30,6 +31,7 @@ from typing import Any, Callable, Sequence
 from repro.core.checker import ApiChecker, VetVerdict
 from repro.core.features import AppObservation
 from repro.obs import MetricsRegistry
+from repro.records import atomic_write
 from repro.rules.builtin import builtin_ruleset
 from repro.rules.spec import RuleSpec, load_ruleset
 
@@ -193,16 +195,11 @@ class ArtifactStore:
         }
 
     def _save_manifest(self) -> None:
-        """Rewrite the manifest (tmp + rename); callers hold ``_mutate``."""
+        """Replace the manifest whole; callers hold ``_mutate``."""
         if self.root is None:
             return
-        path = self.root / self.manifest
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(
-            json.dumps(self._manifest_payload(), indent=2, sort_keys=True),
-            encoding="utf-8",
-        )
-        tmp.replace(path)
+        text = json.dumps(self._manifest_payload(), indent=2, sort_keys=True)
+        atomic_write(self.root / self.manifest, text.encode())
 
     def _restore(self, payload: dict) -> None:
         for record in payload.get("versions", []):
@@ -216,7 +213,8 @@ class ArtifactStore:
         self, source, metadata: dict | None = None, activate: bool = False
     ) -> ArtifactVersion:
         """Persist ``source`` as a new version (never half-written: the
-        source is validated first, the artifact lands by rename)."""
+        source is validated first, the artifact lands before the
+        manifest names it)."""
         blob, extra = self.encode(source)
         with self._mutate:
             version = max(self.versions, default=0) + 1
@@ -224,9 +222,7 @@ class ArtifactStore:
             if self.root is None:
                 self._blobs[version] = blob
             else:
-                tmp = self.root / (filename + ".tmp")
-                tmp.write_bytes(blob)
-                tmp.replace(self.root / filename)
+                atomic_write(self.root / filename, blob)
             av = ArtifactVersion(
                 version=version,
                 filename=filename,

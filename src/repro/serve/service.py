@@ -177,9 +177,6 @@ class OnlineVettingService:
         #: The pipeline for the engine the dispatcher last ran; built,
         #: and closed on a model swap, by the dispatcher thread only.
         self._pipeline: VettingPipeline | None = None
-        #: md5 -> terminal outcome dict; seeded with outcomes the queue
-        #: recovered from its WAL so completed work is never re-scored.
-        self.results: dict[str, dict] = dict(self.queue.completed)
         self.rules_enabled = bool(rules)
         if isinstance(rulesets, RulesetRegistry):
             self.rulesets = rulesets
@@ -242,22 +239,7 @@ class OnlineVettingService:
 
     def result(self, md5: str) -> dict:
         """Current state of one submission: terminal outcome or status."""
-        outcome = self.results.get(md5)
-        if outcome is not None:
-            return outcome
-        return {"md5": md5, "status": self._unpublished_status(md5)}
-
-    def _unpublished_status(self, md5: str) -> str:
-        """Queue status of an md5 whose outcome is not published yet.
-
-        The dispatcher WAL-records a terminal outcome
-        (:meth:`SubmissionQueue.mark_done`) before it publishes it in
-        :attr:`results`; in between, the queue already says ``done``
-        but there is no verdict to serve, so the submission still
-        reads as ``in_flight``.
-        """
-        status = self.queue.status(md5)
-        return "in_flight" if status == "done" else status
+        return self.queue.result(md5)
 
     def explain(self, md5: str) -> dict:
         """Behavior-rule evidence for one submission.
@@ -268,16 +250,11 @@ class OnlineVettingService:
         clean, failed, or pre-rules outcomes.  Non-terminal submissions
         report their queue status with no explanation yet.
         """
-        outcome = self.results.get(md5)
-        if outcome is not None:
-            return {
-                "md5": md5,
-                "status": outcome["status"],
-                "malicious": outcome.get("malicious"),
-                "explanation": outcome.get("explanation"),
-                "ruleset_version": outcome.get("ruleset_version"),
-            }
-        return {"md5": md5, "status": self._unpublished_status(md5)}
+        outcome = self.queue.result(md5)
+        if outcome["status"] not in ("done", "failed"):
+            return outcome
+        keys = ("status", "malicious", "explanation", "ruleset_version")
+        return {"md5": md5} | {key: outcome.get(key) for key in keys}
 
     def push_ruleset(self, source, metadata: dict | None = None) -> dict:
         """Validate, publish, and atomically activate a new ruleset.
@@ -336,7 +313,7 @@ class OnlineVettingService:
         is None when nothing was recorded).
         """
         actual = bool(malicious)
-        outcome = self.results.get(md5)
+        outcome = self.queue.completed.get(md5)
         if outcome is None or outcome.get("status") != "done":
             return {
                 "md5": md5,
@@ -370,7 +347,7 @@ class OnlineVettingService:
             "shadow_model_version": self.models.shadow_version,
             "ruleset_version": self.rulesets.active_version,
             "queue_depth": self.queue.depth,
-            "completed": len(self.results),
+            "completed": len(self.queue.completed),
             "workers": self.workers,
             "uptime_seconds": (
                 time.time() - self.started_at if self.started_at else 0.0
@@ -657,7 +634,6 @@ class OnlineVettingService:
             elif outcome.get("malicious"):
                 self.metrics.inc("serve_flagged_total")
             self.queue.mark_done(entry, outcome)
-            self.results[entry.md5] = outcome
             accepted = self._accept_wall.pop(entry.seq, None)
             if accepted is not None:
                 self.metrics.observe(

@@ -123,6 +123,23 @@ def test_sink_read_rejects_malformed_lines(tmp_path):
         SpanSink.read(path)
 
 
+def test_sink_reopened_on_a_torn_trace_stays_readable(tmp_path):
+    """A trace cut mid-event by a killed process is repaired when a sink
+    reopens it, so the next event does not glue onto the fragment."""
+    path = tmp_path / "trace.jsonl"
+    reg = MetricsRegistry()
+    sink = SpanSink(path)
+    record_span("a", 0.0, 1.0, registry=reg, sink=sink)
+    record_span("b", 1.0, 2.0, registry=reg, sink=sink)
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) - 10])
+    with pytest.raises(ValueError, match=":2: malformed span line"):
+        SpanSink.read(path)
+    reopened = SpanSink(path)
+    record_span("c", 2.0, 3.0, registry=reg, sink=reopened)
+    assert [e.name for e in SpanSink.read(path)] == ["a", "c"]
+
+
 def test_batch_scoring_records_one_labelled_predict_span():
     """One outermost ml_predict_seconds record per batch call, with a
     batch_size label — not one per row and not nested double-counts."""

@@ -166,7 +166,7 @@ def _replay_and_drain(models, spool):
         record = json.loads(line)
         if record["type"] == "done":
             done_counts[record["md5"]] = done_counts.get(record["md5"], 0) + 1
-    return replayed, recovered, dict(service.results), done_counts
+    return replayed, recovered, dict(service.queue.completed), done_counts
 
 
 def test_v2_and_mixed_segments_replay_identically(

@@ -267,7 +267,7 @@ def test_malformed_envelopes_are_400_not_a_dropped_connection(
     assert status == 400
     assert err["error"]["code"] == "bad_request"
     assert "bad submission" in err["error"]["message"]
-    assert service.queue.depth == 0 and not service.results
+    assert service.queue.depth == 0 and not service.queue.completed
 
 
 def test_lane_numbers_are_accepted(served, generator):
@@ -337,7 +337,7 @@ def test_infinite_rate_is_400_before_the_wal(
     assert "rate_multiplier must be positive and finite" in (
         err["error"]["message"]
     )
-    assert service.queue.depth == 0 and not service.results
+    assert service.queue.depth == 0 and not service.queue.completed
     assert (spool / "queue.wal").read_text("utf-8") == ""
 
 

@@ -173,8 +173,7 @@ def test_wal_replay_restores_uncompleted_entries(tmp_path, apps):
         q.submit(apk)
     done = q.take(timeout=0)
     q.mark_done(done, {"status": "done", "malicious": False})
-    # Simulate a kill: drop the handle without any graceful shutdown.
-    q._wal.close()
+    # Simulate a kill: drop the queue without any graceful shutdown.
 
     registry = MetricsRegistry()
     q2 = SubmissionQueue(spool, registry=registry)
@@ -199,7 +198,6 @@ def test_wal_replay_preserves_in_flight_entries(tmp_path, apps):
     q = SubmissionQueue(spool)
     q.submit(apps[0])
     q.take(timeout=0)
-    q._wal.close()
     q2 = SubmissionQueue(spool)
     assert q2.depth == 1
     assert q2.take(timeout=0).md5 == apps[0].md5
@@ -210,10 +208,8 @@ def test_wal_replay_survives_multiple_restarts(tmp_path, apps):
     spool = tmp_path / "spool"
     q = SubmissionQueue(spool)
     q.submit(apps[0], "escalated")
-    q._wal.close()
     q2 = SubmissionQueue(spool)
     assert q2.depth == 1
-    q2._wal.close()
     q3 = SubmissionQueue(spool)
     entry = q3.take(timeout=0)
     assert entry.md5 == apps[0].md5 and entry.lane == 0
@@ -228,7 +224,6 @@ def test_seq_continues_after_replay(tmp_path, apps):
     spool = tmp_path / "spool"
     q = SubmissionQueue(spool)
     first = q.submit(apps[0])
-    q._wal.close()
     q2 = SubmissionQueue(spool)
     fresh = q2.submit(apps[1])
     assert fresh.seq > first.seq

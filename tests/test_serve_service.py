@@ -80,18 +80,18 @@ def test_priority_lane_is_dispatched_first(models, generator):
         service.start()
         deadline = time.monotonic() + 60.0
         while (
-            apps[5].md5 not in service.results
+            apps[5].md5 not in service.queue.completed
             and time.monotonic() < deadline
         ):
             time.sleep(0.01)
-        outcome = service.results[apps[5].md5]
+        outcome = service.queue.completed[apps[5].md5]
         assert outcome["lane"] == "escalated"
         # The escalated submission must land in the first dispatched
         # batch; results preserve completion order, so it appears among
         # the first batch_size outcomes.  (Counting completed batches
         # instead would race the dispatcher: batched scoring can finish
         # several micro-batches within one 10 ms poll.)
-        first_batch = list(service.results)[: service.batch_size]
+        first_batch = list(service.queue.completed)[: service.batch_size]
         assert apps[5].md5 in first_batch
     finally:
         service.close()
@@ -111,19 +111,21 @@ def test_escalated_lane_never_starves_under_bulk_flood(models, generator):
     with _service(models, batch_size=4) as service:
         for apk in bulk:
             service.submit(apk, "bulk")
-        done_at_submit = len(service.results)
+        done_at_submit = len(service.queue.completed)
         service.submit(urgent, "escalated")
         deadline = time.monotonic() + 120.0
         while (
-            urgent.md5 not in service.results
+            urgent.md5 not in service.queue.completed
             and time.monotonic() < deadline
         ):
             time.sleep(0.01)
-        assert urgent.md5 in service.results, "escalated submission starved"
+        assert (
+            urgent.md5 in service.queue.completed
+        ), "escalated submission starved"
         # results preserve completion order: everything between the
         # acceptance-time snapshot and the escalated outcome completed
         # while the escalated app waited.
-        position = list(service.results).index(urgent.md5)
+        position = list(service.queue.completed).index(urgent.md5)
         waited_behind = position - done_at_submit
         assert waited_behind <= 2 * service.batch_size, (
             f"escalated verdict waited behind {waited_behind} bulk "
@@ -220,7 +222,7 @@ def test_kill_and_restart_is_exactly_once(tmp_path, models, generator):
     for apk in apps:
         service.submit(apk)
     service._process_batch(service.queue.take_batch(3, timeout=0))
-    phase1_results = dict(service.results)
+    phase1_results = dict(service.queue.completed)
     assert len(phase1_results) == 3
     # "kill -9": abandon the service without stop/close bookkeeping.
 
@@ -234,7 +236,7 @@ def test_kill_and_restart_is_exactly_once(tmp_path, models, generator):
     )
     # Completed outcomes were recovered from the WAL, not recomputed.
     for md5, outcome in phase1_results.items():
-        assert service2.results[md5] == outcome
+        assert service2.queue.completed[md5] == outcome
     service2.start()
     assert service2.drain(90.0), "restart did not drain the replay"
     service2.close()
@@ -253,7 +255,7 @@ def test_in_memory_service_needs_no_spool(models, generator):
     with _service(models, spool_dir=None) as service:
         service.submit(generator.sample_app())
         assert service.drain(60.0)
-        assert len(service.results) == 1
+        assert len(service.queue.completed) == 1
 
 
 def test_constructor_validation(models):
@@ -326,8 +328,9 @@ def test_record_feedback_only_counts_terminal_done(models, generator):
 def test_no_verdictless_done_between_wal_and_publish(models, generator):
     """A poll racing the dispatcher never sees ``done`` without a verdict.
 
-    ``mark_done`` WAL-records the outcome before the dispatcher
-    publishes it; a read in that window must still say ``in_flight``.
+    ``mark_done`` writes the done record and publishes the outcome in
+    one step under the queue lock, so a read right after it returns
+    the full outcome.
     """
     apps = [generator.sample_app() for _ in range(6)]
     seen = []
@@ -336,7 +339,6 @@ def test_no_verdictless_done_between_wal_and_publish(models, generator):
 
         def racing_mark_done(entry, outcome):
             mark_done(entry, outcome)
-            assert entry.md5 not in service.results  # WAL first
             seen.append(service.result(entry.md5))
             seen.append(service.explain(entry.md5))
 
@@ -346,11 +348,46 @@ def test_no_verdictless_done_between_wal_and_publish(models, generator):
         assert service.drain(60.0)
     assert len(seen) == 2 * len(apps)
     for answer in seen:
-        assert answer["status"] == "in_flight"
-        assert "malicious" not in answer
+        assert answer["status"] == "done"
+        assert answer["malicious"] in (True, False)
     for apk in apps:
         outcome = service.result(apk.md5)
         assert outcome["status"] == "done" and "malicious" in outcome
+
+
+def test_mark_done_between_lookups_never_answers_verdictless_done(
+    models, generator, monkeypatch
+):
+    """Publish an outcome in the middle of every status lookup: a poll
+    that missed the outcome and then asked for the status would answer
+    ``done`` with no verdict."""
+    apps = [generator.sample_app() for _ in range(4)]
+    service = _service(models)
+    entries = {apk.md5: service.queue.submit(apk) for apk in apps}
+    for _ in apps:
+        service.queue.take(timeout=0)
+    status = SubmissionQueue.status
+
+    def publish_first(queue, md5):
+        entry = entries.pop(md5, None)
+        if entry is not None:
+            queue.mark_done(entry, {"md5": md5, "status": "done",
+                                    "malicious": False})
+        return status(queue, md5)
+
+    monkeypatch.setattr(SubmissionQueue, "status", publish_first)
+    try:
+        for apk in apps:
+            for answer in (service.result(apk.md5), service.explain(apk.md5)):
+                assert answer["status"] in ("in_flight", "done"), answer
+                if answer["status"] == "done":
+                    assert answer.get("malicious") is False, answer
+        for md5 in list(entries):
+            service.queue.status(md5)  # publishes
+            assert service.result(md5)["malicious"] is False
+            assert service.explain(md5)["malicious"] is False
+    finally:
+        service.close()
 
 
 def test_batched_explanations_equal_per_app_ones(models, generator):
